@@ -186,6 +186,7 @@ def cmd_oracle(args) -> int:
                     "rows": report.n_rows,
                     "cols": report.n_cols,
                     "ranks": list(report.ranks),
+                    "certified": report.certified,
                     "dimension": report.dimension,
                     "h1": report.h1,
                 }
@@ -196,6 +197,10 @@ def cmd_oracle(args) -> int:
     print(f"matrix: {report.n_rows} x {report.n_cols} over F_{report.prime}")
     agreement = "seeds agree" if report.seeds_agree else f"seed ranks {list(report.ranks)}"
     print(f"rank: {max(report.ranks)} ({agreement})")
+    if report.certified:
+        print("certified: yes (rank = min(rows, cols))")
+    else:
+        print(f"certified: no (best of {len(report.ranks)} seeds, a high-probability answer)")
     print(f"dimension: {report.dimension}")
     print(f"h1: {report.h1}")
     return 0

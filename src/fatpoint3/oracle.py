@@ -3,11 +3,15 @@
 For each seed, points are sampled in general position, the matrix of vanishing
 conditions imposed by the fat points is assembled over F_p, and its rank is
 computed by exact Gaussian elimination. The dimension is the column count minus
-the best rank across seeds, minus one.
+the best rank across seeds, minus one. A rank equal to min(rows, cols) cannot be
+exceeded by any sample, so it certifies the answer: a grid check runs no
+further seed on a certified cell, while a lone system runs every seed, so its
+report shows whether the seeds agree.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 import warnings
@@ -174,11 +178,12 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     return _matmul_limbs(xh, xl, yh, yl, p)
 
 
-def _rank_elim(a: np.ndarray, p: int) -> int:
+def _rank_elim(a: np.ndarray, p: int) -> list[int]:
     # straight row echelon; entries already reduced into [0, p)
     m, n = a.shape
-    r = 0
+    pivots: list[int] = []
     for c in range(n):
+        r = len(pivots)
         if r == m:
             break
         nz = np.flatnonzero(a[r:, c])
@@ -193,17 +198,18 @@ def _rank_elim(a: np.ndarray, p: int) -> int:
             a[r + 1 :, c:] = _reduce(
                 a[r + 1 :, c:] + (p - f)[:, None] * a[r, c:][None, :], p
             )
-        r += 1
-    return r
+        pivots.append(c)
+    return pivots
 
 
 _BLOCK = 128  # inner dimension of the limb matmul; must stay below 2^13
 
 
-def _rank_blocked(a: np.ndarray, p: int) -> int:
+def _rank_blocked(a: np.ndarray, p: int) -> list[int]:
     """Row echelon in column panels: multipliers collected per panel, the
     trailing matrix updated with one exact matrix product per panel."""
     m, n = a.shape
+    pivots: list[int] = []
     r = 0
     c = 0
     while r < m and c < n:
@@ -249,26 +255,38 @@ def _rank_blocked(a: np.ndarray, p: int) -> int:
                 lh, ll = _limbs(a[r:, pc])
                 prod = _matmul_limbs(lh, ll, uh, ul, p)
                 a[r:, c + width :] = _reduce(a[r:, c + width :] + (p - prod), p)
+        pivots += piv_cols
         c += width
-    return r
+    return pivots
+
+
+def _rank_profile(matrix: np.ndarray, prime: int) -> list[int]:
+    """Pivot columns over F_p, in increasing order: the column rank profile.
+
+    Column j is a pivot exactly when it is independent of the columns before
+    it, whichever rows the elimination swaps, so the number of pivots below j
+    is the rank of the first j columns.
+    """
+    if not 2 <= prime < 2**31:
+        raise ValueError("prime must fit in 31 bits")
+    if not _is_prime(prime):
+        raise ValueError(f"{prime} is not prime")
+    # a C-ordered copy even of a transposed view, so row operations stay contiguous
+    a = np.array(matrix, dtype=np.int64, order="C")
+    if a.ndim != 2:
+        raise ValueError("need a two-dimensional matrix")
+    if a.size == 0:
+        return []
+    np.mod(a, prime, out=a)  # np.mod also maps negative entries into [0, p)
+    if min(a.shape) <= 2 * _BLOCK:
+        return _rank_elim(a, prime)
+    return _rank_blocked(a, prime)
 
 
 def rank_mod_p(matrix: np.ndarray, prime: int) -> int:
     """Rank over F_p by Gaussian elimination, pivoting on the first nonzero
     entry of each column. Deterministic for a given matrix."""
-    if not 2 <= prime < 2**31:
-        raise ValueError("prime must fit in 31 bits")
-    if not _is_prime(prime):
-        raise ValueError(f"{prime} is not prime")
-    a = np.asarray(matrix, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError("need a two-dimensional matrix")
-    if a.size == 0:
-        return 0
-    a = np.mod(a, prime)  # np.mod also maps negative entries into [0, p)
-    if min(a.shape) <= 2 * _BLOCK:
-        return _rank_elim(a, prime)
-    return _rank_blocked(a, prime)
+    return len(_rank_profile(matrix, prime))
 
 
 # --- conditions matrix -------------------------------------------------------
@@ -356,6 +374,18 @@ def _point_block(
     return block
 
 
+# rows x cols bound on one dense int64 conditions matrix (64 MiB); elimination
+# holds several more arrays of that size (L(10; 50^100), 8.2M entries after
+# clamping, peaks at 438 MB of RSS)
+_MAX_ENTRIES = 1 << 23
+
+
+def _point_rows(mult: int, degree: int) -> int:
+    # derivatives of order > d of a degree-d form vanish identically, so a
+    # multiplicity above d + 1 adds only zero rows and is clamped to d + 1
+    return math.comb(min(mult, degree + 1) + 2, 3)
+
+
 def conditions_matrix(
     system: LinearSystem, points, prime: int = DEFAULT_PRIME
 ) -> ConditionsMatrix:
@@ -363,7 +393,8 @@ def conditions_matrix(
 
     ``points`` holds one point per multiplicity, as 3 affine (chart x0 = 1)
     or 4 homogeneous coordinates. The prime must exceed the degree so that
-    no derivative coefficient vanishes in characteristic p.
+    no derivative coefficient vanishes in characteristic p. Multiplicities
+    above d + 1 are clamped to d + 1, which drops only zero rows.
     """
     if system.degree < 0:
         raise ValueError("degree must be non-negative")
@@ -373,6 +404,12 @@ def conditions_matrix(
         raise ValueError("prime must exceed the degree")
     if not _is_prime(prime) or prime >= 2**31:
         raise ValueError("need a prime below 2**31")
+    n_rows = sum(_point_rows(m, system.degree) for m in system.mults)
+    n_cols = math.comb(system.degree + 3, 3)
+    if n_rows * n_cols > _MAX_ENTRIES:
+        raise ValueError(
+            f"a {n_rows} x {n_cols} conditions matrix exceeds {_MAX_ENTRIES} entries"
+        )
     pts = [_as_homogeneous(pt, prime) for pt in points]
     if len(pts) != system.npoints:
         raise ValueError("need exactly one point per multiplicity")
@@ -381,14 +418,14 @@ def conditions_matrix(
         raise ValueError("points must be pairwise distinct")
     exponents = np.array(monomial_basis(system.degree), dtype=np.int64)
     blocks = [
-        _point_block(exponents, pt, m, prime)
+        _point_block(exponents, pt, min(m, system.degree + 1), prime)
         for pt, m in zip(pts, system.mults)
         if m >= 1
     ]
     if blocks:
         entries = np.vstack(blocks)
     else:
-        entries = np.zeros((0, len(exponents)), dtype=np.int64)
+        entries = np.zeros((0, n_cols), dtype=np.int64)
     return ConditionsMatrix(entries, prime)
 
 
@@ -413,48 +450,67 @@ def _sample_points(npoints: int, seed: int, prime: int, mode: str):
     return pts
 
 
-def _seed_ranks(system: LinearSystem, config: OracleConfig) -> list[int]:
-    ranks = []
+def _cell_ranks(
+    system: LinearSystem, config: OracleConfig, cells, *, stop_certified: bool = True
+) -> dict[int, list[int]]:
+    """Ranks of the prefix systems L(d; m_1, ..., m_k) for each k in ``cells``,
+    one list per cell holding the rank of every seed that ran on it.
+
+    Sampling is prefix-stable, so the first k of a seed's points are the
+    points a lone k-point call would sample, and one elimination of the
+    transposed matrix gives every prefix rank: a pivot column of A^T is a row
+    of A independent of the rows before it. A cell is certified once its best
+    rank reaches min(rows, cols), which no other seed can exceed; with
+    ``stop_certified``, later seeds run only up to the largest uncertified
+    cell, and stop when none is left. Without it every seed runs on every cell.
+    """
+    degree, prime = system.degree, config.prime
+    n_cols = math.comb(degree + 3, 3)
+    offsets = [0]
+    for m in system.mults:
+        offsets.append(offsets[-1] + _point_rows(m, degree))
+    ranks: dict[int, list[int]] = {k: [] for k in cells}
+    open_cells = sorted(ranks)
     for seed in config.seeds:
-        pts = _sample_points(system.npoints, seed, config.prime, config.point_mode)
-        ranks.append(conditions_matrix(system, pts, config.prime).rank())
+        if not open_cells:
+            break
+        r = open_cells[-1]
+        points = _sample_points(r, seed, prime, config.point_mode)
+        matrix = conditions_matrix(LinearSystem(degree, system.mults[:r]), points, prime)
+        if len(open_cells) == 1:  # only the whole matrix's rank is asked for
+            got = [matrix.rank()]
+        else:
+            pivots = _rank_profile(matrix.entries.T, prime)
+            got = [bisect.bisect_left(pivots, offsets[k]) for k in open_cells]
+        for k, rank in zip(open_cells, got):
+            ranks[k].append(rank)
+        if stop_certified:
+            open_cells = [k for k in open_cells if max(ranks[k]) < min(offsets[k], n_cols)]
     return ranks
 
 
-def oracle_dimension(system: LinearSystem, config: OracleConfig = DEFAULT_CONFIG) -> int:
-    """True projective dimension at the sampled points: C(d+3,3) minus the
-    best rank across seeds, minus one; -1 means the system is empty.
+def _seed_ranks(system: LinearSystem, config: OracleConfig) -> list[int]:
+    """Rank of the system's conditions matrix for every seed."""
+    return _cell_ranks(system, config, (system.npoints,), stop_certified=False)[system.npoints]
 
-    Multiplicities are taken as given (no reordering), so index positions
-    keep their meaning in fundamental point mode. A warning is attached when
-    ranks disagree across seeds.
-    """
-    if system.degree < 0:
-        raise ValueError("degree must be non-negative")
-    if any(m < 0 for m in system.mults):
-        raise ValueError("multiplicities must be non-negative")
-    ranks = _seed_ranks(system, config)
+
+def _best_rank(ranks: list[int], system: LinearSystem) -> int:
     if len(set(ranks)) > 1:
         warnings.warn(
             f"ranks {ranks} disagree across seeds for degree {system.degree}, "
             f"mults {system.mults}; using the maximum",
             SeedDisagreement,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return math.comb(system.degree + 3, 3) - max(ranks) - 1
-
-
-def oracle_h1(system: LinearSystem, config: OracleConfig = DEFAULT_CONFIG) -> int:
-    """Measured speciality: oracle dimension minus expected dimension for a
-    non-empty system, and 0 for an empty one."""
-    dim = oracle_dimension(system, config)
-    if dim < 0:
-        return 0
-    return dim - expected_dimension(normalize(system))
+    return max(ranks)
 
 
 @dataclass(frozen=True)
 class OracleReport:
+    """One oracle run. ``ranks`` holds every seed's rank, in seed order. A
+    best rank of ``min(n_rows, n_cols)`` is ``certified``: no sample can
+    exceed it. Any other is a high-probability answer."""
+
     system: LinearSystem
     prime: int
     seeds: tuple[int, ...]
@@ -464,6 +520,7 @@ class OracleReport:
     ranks: tuple[int, ...]
     dimension: int
     h1: int
+    certified: bool
 
     @property
     def seeds_agree(self) -> bool:
@@ -471,15 +528,17 @@ class OracleReport:
 
 
 def oracle_report(system: LinearSystem, config: OracleConfig = DEFAULT_CONFIG) -> OracleReport:
-    """Run the oracle and keep the per-seed ranks and matrix shape."""
-    if system.degree < 0:
-        raise ValueError("degree must be non-negative")
-    if any(m < 0 for m in system.mults):
-        raise ValueError("multiplicities must be non-negative")
-    ranks = tuple(_seed_ranks(system, config))
+    """Run the oracle and keep the per-seed ranks, matrix shape and certificate.
+
+    Multiplicities are taken as given (no reordering), so index positions
+    keep their meaning in fundamental point mode. A warning is attached when
+    ranks disagree across seeds.
+    """
+    ranks = _seed_ranks(system, config)
+    rank = _best_rank(ranks, system)
     n_cols = math.comb(system.degree + 3, 3)
-    n_rows = sum(math.comb(m + 2, 3) for m in system.mults if m > 0)
-    dim = n_cols - max(ranks) - 1
+    n_rows = sum(_point_rows(m, system.degree) for m in system.mults)
+    dim = n_cols - rank - 1
     h1 = dim - expected_dimension(normalize(system)) if dim >= 0 else 0
     return OracleReport(
         system,
@@ -488,10 +547,23 @@ def oracle_report(system: LinearSystem, config: OracleConfig = DEFAULT_CONFIG) -
         config.point_mode,
         n_rows,
         n_cols,
-        ranks,
+        tuple(ranks),
         dim,
         h1,
+        rank == min(n_rows, n_cols),
     )
+
+
+def oracle_dimension(system: LinearSystem, config: OracleConfig = DEFAULT_CONFIG) -> int:
+    """True projective dimension at the sampled points: C(d+3,3) minus the
+    best rank across seeds, minus one; -1 means the system is empty."""
+    return oracle_report(system, config).dimension
+
+
+def oracle_h1(system: LinearSystem, config: OracleConfig = DEFAULT_CONFIG) -> int:
+    """Measured speciality: oracle dimension minus expected dimension for a
+    non-empty system, and 0 for an empty one."""
+    return oracle_report(system, config).h1
 
 
 # --- grid verification --------------------------------------------------------
@@ -560,11 +632,14 @@ def verify_grid(
         raise ValueError("grid degree bound too large for dense elimination")
     rows = []
     for d in range(d_max + 1):
+        n_cols = math.comb(d + 3, 3)
         for m in range(1, m_max + 1):
+            # one elimination per seed gives every r <= r_max
+            ranks = _cell_ranks(LinearSystem(d, (m,) * r_max), config, range(1, r_max + 1))
             for r in range(1, r_max + 1):
                 system = LinearSystem(d, (m,) * r)
                 conjectured = conjectured_dimension(system)[0]
-                measured = oracle_dimension(system, config)
+                measured = n_cols - _best_rank(ranks[r], system) - 1
                 rows.append(GridRow(d, m, r, conjectured, measured))
     return GridReport(d_max, m_max, r_max, config.prime, config.seeds, tuple(rows))
 

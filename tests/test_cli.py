@@ -85,6 +85,7 @@ def test_oracle_command(capsys):
     assert code == 0
     assert "dimension: 0" in out
     assert "matrix: 9 x 10" in out
+    assert "certified: yes" in out
 
 
 def test_oracle_command_triple_point_plane(capsys):
@@ -101,7 +102,8 @@ def test_oracle_env_prime(capsys, monkeypatch):
     monkeypatch.setenv("FATPOINT3_PRIME", "1000003")
     code, out, _ = run(capsys, "oracle", "2 1^9", "--seeds", "1", "--json")
     assert code == 0
-    assert json.loads(out)["prime"] == 1000003
+    payload = json.loads(out)
+    assert payload["prime"] == 1000003 and payload["certified"] is True
 
 
 def test_transform_system(capsys):

@@ -183,7 +183,7 @@ def test_oracle_report_contents():
     report = oracle_report(parse_system("2 1^9"), FAST)
     assert (report.n_rows, report.n_cols) == (9, 10)
     assert report.dimension == 0 and report.h1 == 0
-    assert report.seeds_agree and len(report.ranks) == 2
+    assert report.seeds_agree and len(report.ranks) == 2 and report.certified
 
 
 def test_seed_disagreement_warns_and_takes_best_rank(monkeypatch):
@@ -199,6 +199,102 @@ def test_seed_disagreement_warns_and_takes_best_rank(monkeypatch):
     with pytest.warns(SeedDisagreement):
         dim = oracle_dimension(system, OracleConfig(seeds=(1, 2)))
     assert dim == 0  # the generic sample wins
+
+
+def test_verify_grid_warns_on_seed_disagreement(monkeypatch):
+    # seed 1 puts the three points on a line, so L(1; 1^3) keeps a pencil
+    def fake_sample(npoints, seed, prime, mode):
+        if seed == 1:
+            return [(1, 1, 1, 1), (1, 2, 2, 2), (1, 3, 3, 3)][:npoints]
+        return [(1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)][:npoints]
+
+    monkeypatch.setattr(oracle_module, "_sample_points", fake_sample)
+    with pytest.warns(SeedDisagreement):
+        report = verify_grid(1, 1, 3, OracleConfig(seeds=(1, 2)))
+    assert report.mismatches == ()
+
+
+def test_certified_first_seed_stops_the_seed_loop(monkeypatch):
+    calls = []
+    profile = oracle_module._rank_profile
+
+    def counting(matrix, prime):  # every elimination goes through here
+        calls.append(matrix.shape)
+        return profile(matrix, prime)
+
+    monkeypatch.setattr(oracle_module, "_rank_profile", counting)
+    three = OracleConfig(seeds=(1, 2, 3))
+    # simple points are always independent: one elimination per degree
+    assert verify_grid(3, 1, 6, three).mismatches == ()
+    assert len(calls) == 4
+    # of L(4; 2^r), r <= 10, only r = 9 is special (rank 34 of 35 columns),
+    # so seeds 2 and 3 eliminate just its 36 x 35 matrix
+    calls.clear()
+    ranks = oracle_module._cell_ranks(LinearSystem(4, (2,) * 10), three, range(1, 11))
+    assert calls == [(35, 40), (36, 35), (36, 35)]
+    assert ranks == {**{r: [4 * r] for r in range(1, 9)}, 9: [34, 34, 34], 10: [35]}
+    # a lone system runs every seed, certified or not, and reports each rank
+    calls.clear()
+    report = oracle_report(parse_system("2 1^9"), three)
+    assert len(calls) == 3 and report.ranks == (9, 9, 9) and report.certified
+    calls.clear()
+    report = oracle_report(parse_system("4 2^9"), three)
+    assert len(calls) == 3 and report.ranks == (34, 34, 34) and not report.certified
+
+
+def test_sample_points_are_prefix_stable():
+    # a tiny field makes duplicate draws, which the sampler skips
+    for mode in (ALL_RANDOM, FUNDAMENTAL):
+        for prime in (5, oracle_module.DEFAULT_PRIME):
+            for seed in (1, 2, 3):
+                full = oracle_module._sample_points(30, seed, prime, mode)
+                for k in range(31):
+                    assert oracle_module._sample_points(k, seed, prime, mode) == full[:k]
+
+
+@pytest.mark.parametrize("mode", [ALL_RANDOM, FUNDAMENTAL])
+@pytest.mark.parametrize("seeds", [(1, 2, 3), (4, 5, 6)])
+def test_verify_grid_matches_per_cell_oracle(mode, seeds):
+    config = OracleConfig(seeds=seeds, point_mode=mode)
+    report = verify_grid(4, 3, 8, config)
+    expected = [
+        (d, m, r, oracle_dimension(LinearSystem(d, (m,) * r), config))
+        for d in range(5)
+        for m in range(1, 4)
+        for r in range(1, 9)
+    ]
+    assert [(row.degree, row.mult, row.npoints, row.oracle) for row in report.rows] == expected
+
+
+def test_multiplicity_clamped_at_degree_plus_one():
+    pts = [(1, 2, 3), (4, 5, 7)]
+    clamped = conditions_matrix(parse_system("3 6^2"), pts)
+    reference = conditions_matrix(parse_system("3 4^2"), pts)
+    assert clamped.entries.shape == reference.entries.shape == (40, 20)
+    assert clamped.rank() == reference.rank() == 20
+    # the dropped rows, derivatives of order 4 and 5 of a cubic, are all zero
+    exponents = np.array(monomial_basis(3), dtype=np.int64)
+    full = oracle_module._point_block(exponents, (1, 1, 2, 3), 6, oracle_module.DEFAULT_PRIME)
+    assert full.shape == (56, 20) and not full[20:].any()
+    assert (full[:20] == clamped.entries[:20]).all()
+    report = oracle_report(parse_system("3 6^2"), FAST)
+    assert report.n_rows == 40 and report.dimension == -1 and report.certified
+    # the size guard counts clamped rows: 10 x 10, not C(1002, 3) x 10
+    assert conditions_matrix(LinearSystem(2, (1000,)), [(1, 2, 3)]).entries.shape == (10, 10)
+
+
+def test_conditions_matrix_refuses_huge_systems_before_assembly(monkeypatch):
+    def no_assembly(*args):
+        raise AssertionError("a point block was assembled")
+
+    monkeypatch.setattr(oracle_module, "_point_block", no_assembly)
+    # 200 points of multiplicity 40 on degree-40 forms: 2,296,000 x 12,341
+    system = LinearSystem(40, (40,) * 200)
+    points = [(1, i, i * i, 7) for i in range(200)]
+    with pytest.raises(ValueError, match="exceeds"):
+        conditions_matrix(system, points)
+    with pytest.raises(ValueError, match="exceeds"):
+        oracle_dimension(system, FAST)
 
 
 def test_quadric_pencil_rigidity_via_oracle():

@@ -120,15 +120,17 @@ def test_virtual_dimension_change_formula(system, idx):
 @st.composite
 def degree_dropping_systems(draw):
     """Honest systems whose top quadruple meets the triple bound yet forces a
-    strict degree drop: 2d >= m_i+m_j+m_k for all selected triples, 2d < sum."""
-    d = draw(st.integers(1, 12))
-    m1 = draw(st.integers(1, d))
-    m2 = draw(st.integers(1, m1))
-    assume(2 * d - m1 - m2 >= 1)
-    m3 = draw(st.integers(1, min(m2, 2 * d - m1 - m2)))
-    lowest = 2 * d - m1 - m2 - m3 + 1
-    assume(lowest <= m3)
-    m4 = draw(st.integers(max(1, lowest), m3))
+    strict degree drop: 2d >= m_i+m_j+m_k for all selected triples, 2d < sum.
+
+    Each bound below is the least value that still leaves a valid choice for
+    every later multiplicity, so nothing drawn is rejected; d = 1 admits none.
+    """
+    d = draw(st.integers(2, 12))
+    m1 = draw(st.integers(-(-(2 * d + 1) // 4), d))
+    m2 = draw(st.integers(max(1, -(-(2 * d - m1 + 1) // 3)), min(m1, 2 * d - m1 - 1)))
+    room = 2 * d - m1 - m2  # m3 <= room keeps 2d >= m1 + m2 + m3
+    m3 = draw(st.integers(max(1, -(-(room + 1) // 2)), min(m2, room)))
+    m4 = draw(st.integers(max(1, room - m3 + 1), m3))
     extras = tuple(draw(st.lists(st.integers(0, d), max_size=3)))
     return LinearSystem(d, (m1, m2, m3, m4) + extras)
 

@@ -1,9 +1,10 @@
+import bisect
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fatpoint3.oracle import DEFAULT_PRIME, _rank_blocked, _rank_elim, rank_mod_p
+from fatpoint3.oracle import DEFAULT_PRIME, _rank_blocked, _rank_elim, _rank_profile, rank_mod_p
 
 
 def rank_over_rationals(rows):
@@ -35,6 +36,19 @@ def test_rank_matches_rational_reference_on_small_matrices():
         assert rank_mod_p(a, DEFAULT_PRIME) == rank_over_rationals(a.tolist())
 
 
+def test_pivot_columns_give_every_row_prefix_rank():
+    # the pivot columns of A^T are the rows of A independent of the rows
+    # above them, so counting pivots below k gives the rank of the first k rows
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        m, n = rng.integers(1, 7, size=2)
+        a = rng.integers(0, 4, size=(m, n))
+        pivots = _rank_profile(a.T, DEFAULT_PRIME)
+        assert pivots == sorted(pivots)
+        for k in range(m + 1):
+            assert bisect.bisect_left(pivots, k) == rank_over_rationals(a[:k].tolist())
+
+
 def test_blocked_and_simple_backends_agree():
     rng = np.random.default_rng(3)
     p = DEFAULT_PRIME
@@ -46,8 +60,9 @@ def test_blocked_and_simple_backends_agree():
         product = np.zeros((m, n), dtype=np.int64)
         for t in range(k):  # exact rank-k product, accumulated mod p
             product = (product + left[:, t : t + 1] * right[t : t + 1, :]) % p
-        assert _rank_elim(product.copy(), p) == k
-        assert _rank_blocked(product.copy(), p) == k
+        pivots = _rank_elim(product.copy(), p)
+        assert len(pivots) == k
+        assert _rank_blocked(product.copy(), p) == pivots
 
 
 def test_blocked_handles_rank_deficient_panels():
@@ -56,7 +71,9 @@ def test_blocked_handles_rank_deficient_panels():
     a = rng.integers(0, p, size=(300, 300), dtype=np.int64)
     a[:, 50:180] = 0          # a whole run of dead columns inside one panel
     a[120:260] = a[119]       # repeated rows
-    assert _rank_blocked(a.copy(), p) == _rank_elim(a.copy(), p)
+    pivots = _rank_elim(a.copy(), p)
+    assert _rank_blocked(a.copy(), p) == pivots
+    assert not set(pivots) & set(range(50, 180))  # dead columns never pivot
 
 
 def test_rank_handles_negative_entries_and_small_primes():
