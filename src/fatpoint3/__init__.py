@@ -36,6 +36,7 @@ from .oracle import (
     OracleConfig,
     OracleReport,
     SeedDisagreement,
+    WindowRow,
     conditions_matrix,
     cremona_equivariance_check,
     monomial_basis,
@@ -44,6 +45,7 @@ from .oracle import (
     oracle_report,
     rank_mod_p,
     verify_grid,
+    verify_homogeneous,
 )
 from .speciality import (
     QuadricPencilReport,

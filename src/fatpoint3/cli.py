@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -22,19 +23,12 @@ from .oracle import (
     DEFAULT_PRIME,
     FUNDAMENTAL,
     OracleConfig,
-    oracle_h1,
     oracle_report,
     verify_grid,
+    verify_homogeneous,
 )
-from .speciality import (
-    VERDICT_EMPTY,
-    VERDICT_NON_SPECIAL,
-    VERDICT_PROCEDURE,
-    VERDICT_SPECIAL,
-    classify_homogeneous,
-    conjectured_dimension,
-)
-from .systems import CurveClass, LinearSystem, expected_dimension, normalize, virtual_dimension
+from .speciality import conjectured_dimension, is_special
+from .systems import CurveClass, expected_dimension, normalize, virtual_dimension
 
 __all__ = ["main", "build_parser"]
 
@@ -130,11 +124,8 @@ def cmd_dim(args) -> int:
         raise ValueError("degree must be non-negative")
     dim, trace = conjectured_dimension(system)
     expected = expected_dimension(system)
-    if dim < 0:
-        verdict, excess = "empty", 0
-    else:
-        excess = dim - expected
-        verdict = "special" if excess > 0 else "non-special"
+    special, excess = is_special(system)
+    verdict = "empty" if dim < 0 else "special" if special else "non-special"
     if args.json:
         payload = {
             "system": format_system(system),
@@ -211,58 +202,23 @@ def cmd_verify(args) -> int:
     if args.homogeneous:
         if args.r is None:
             raise ValueError("--homogeneous requires --r")
-        return _verify_homogeneous(args, config)
+        rows = verify_homogeneous(args.r, args.mmax, config)
+        if args.json:
+            payload = [dataclasses.asdict(row) for row in rows]
+            print(json.dumps({"r": args.r, "prime": config.prime, "rows": payload}))
+        else:
+            for row in rows:
+                print(
+                    f"{row.d}\t{row.m}\t{row.r}\t{row.verdict}\t{row.conjectured}"
+                    f"\t{row.expected}" + ("" if row.consistent else "\tINCONSISTENT")
+                )
+        return 0 if all(row.consistent for row in rows) else 2
     report = verify_grid(args.dmax, args.mmax, args.rmax, config)
     if args.json:
         print(json.dumps(report.to_json_dict()))
     else:
         print(report.to_tsv())
     return 0 if not report.mismatches else 2
-
-
-def _verify_homogeneous(args, config) -> int:
-    mismatches = 0
-    rows = []
-    for m in range(1, args.mmax + 1):
-        for d in range(2 * m, 2 * m + 3):
-            verdict = classify_homogeneous(d, m, args.r)
-            system = LinearSystem(d, (m,) * args.r)
-            conjectured, trace = conjectured_dimension(system)
-            expected = expected_dimension(normalize(system))
-            h1 = oracle_h1(system, config)
-            if verdict == VERDICT_SPECIAL:
-                consistent = h1 > 0
-            elif verdict == VERDICT_NON_SPECIAL:
-                consistent = h1 == 0
-            elif verdict == VERDICT_EMPTY:
-                consistent = conjectured == -1
-            else:  # VERDICT_PROCEDURE
-                consistent = True
-            if not consistent:
-                mismatches += 1
-            rows.append(
-                {
-                    "d": d,
-                    "m": m,
-                    "r": args.r,
-                    "verdict": verdict,
-                    "conjectured": conjectured,
-                    "expected": expected,
-                    "h1": h1,
-                    "consistent": consistent,
-                    "trace": render_trace(trace, start=normalize(system)).splitlines(),
-                }
-            )
-    if args.json:
-        print(json.dumps({"r": args.r, "prime": config.prime, "rows": rows}))
-    else:
-        for row in rows:
-            print(
-                f"{row['d']}\t{row['m']}\t{row['r']}\t{row['verdict']}"
-                f"\t{row['conjectured']}\t{row['expected']}"
-                + ("" if row["consistent"] else "\tINCONSISTENT")
-            )
-    return 0 if mismatches == 0 else 2
 
 
 def cmd_transform(args) -> int:

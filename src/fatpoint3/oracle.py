@@ -19,8 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cremona import cremona_system
-from .speciality import conjectured_dimension
+from .cremona import cremona_system, render_trace
+from .speciality import (
+    VERDICT_EMPTY,
+    VERDICT_NON_SPECIAL,
+    VERDICT_SPECIAL,
+    classify_homogeneous,
+    conjectured_dimension,
+)
 from .systems import LinearSystem, expected_dimension, normalize
 
 __all__ = [
@@ -41,6 +47,8 @@ __all__ = [
     "GridRow",
     "GridReport",
     "verify_grid",
+    "WindowRow",
+    "verify_homogeneous",
     "cremona_equivariance_check",
 ]
 
@@ -79,6 +87,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_prime(prime: int) -> None:
+    # entries are kept in [0, p), so with p < 2^31 one product plus one addend
+    # stays below 2^62 and int64 elimination never overflows
+    if not 2 <= prime < 2**31 or not _is_prime(prime):
+        raise ValueError(f"{prime} is not a prime below 2**31")
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Field characteristic, sampling seeds, and point placement mode."""
@@ -89,10 +104,7 @@ class OracleConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seeds", tuple(self.seeds))
-        if not 2 <= self.prime < 2**31:
-            raise ValueError("prime must fit in 31 bits for exact vectorized arithmetic")
-        if not _is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
+        _check_prime(self.prime)
         if not self.seeds:
             raise ValueError("need at least one seed")
         if self.point_mode not in (ALL_RANDOM, FUNDAMENTAL):
@@ -125,10 +137,7 @@ def _derivative_orders(mult: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(orders)
 
 
-# --- modular arithmetic on int64 arrays -------------------------------------
-#
-# All inputs stay in [0, p) with p < 2^31, so any single product plus one
-# addend stays below 2^62 and int64 never overflows.
+# --- modular arithmetic on int64 arrays (inputs in [0, p), see _check_prime) --
 
 
 def _fold_m31(x: np.ndarray) -> np.ndarray:
@@ -172,48 +181,25 @@ def _matmul_limbs(
     return _reduce(out + ll, p)
 
 
-def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    xh, xl = _limbs(x)
-    yh, yl = _limbs(y)
-    return _matmul_limbs(xh, xl, yh, yl, p)
-
-
-def _rank_elim(a: np.ndarray, p: int) -> list[int]:
-    # straight row echelon; entries already reduced into [0, p)
-    m, n = a.shape
-    pivots: list[int] = []
-    for c in range(n):
-        r = len(pivots)
-        if r == m:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        if r + 1 < m:
-            f = _mulmod(a[r + 1 :, c], inv, p)
-            a[r + 1 :, c:] = _reduce(
-                a[r + 1 :, c:] + (p - f)[:, None] * a[r, c:][None, :], p
-            )
-        pivots.append(c)
-    return pivots
-
-
 _BLOCK = 128  # inner dimension of the limb matmul; must stay below 2^13
 
 
-def _rank_blocked(a: np.ndarray, p: int) -> list[int]:
-    """Row echelon in column panels: multipliers collected per panel, the
-    trailing matrix updated with one exact matrix product per panel."""
+def _eliminate(a: np.ndarray, p: int, panel: int) -> list[int]:
+    """Row echelon of ``a`` (entries in [0, p)) in column panels of width
+    ``panel``, in place; returns the pivot columns.
+
+    Inside a panel each pivot updates the panel's columns to its right and
+    its multipliers are stashed in the cleared pivot column; the trailing
+    matrix then gets one exact matrix product per panel. With one panel
+    spanning every column no trailing update runs, and this is plain
+    Gaussian elimination.
+    """
     m, n = a.shape
     pivots: list[int] = []
     r = 0
     c = 0
     while r < m and c < n:
-        width = min(_BLOCK, n - c)
+        width = min(panel, n - c)
         r0 = r
         piv_cols = []
         for j in range(c, c + width):
@@ -233,11 +219,11 @@ def _rank_blocked(a: np.ndarray, p: int) -> list[int]:
                     + (p - f)[:, None] * a[r, j + 1 : c + width][None, :],
                     p,
                 )
-                a[r + 1 :, j] = f  # stash the multipliers in the cleared column
+                a[r + 1 :, j] = f
             piv_cols.append(j)
             r += 1
         k = r - r0
-        if k and c + width < n:
+        if k and r < m and c + width < n:
             pc = np.array(piv_cols)
             trail = a[r0:, c + width :]
             w = trail.shape[1]
@@ -251,10 +237,9 @@ def _rank_blocked(a: np.ndarray, p: int) -> list[int]:
                 acc = _matmul_limbs(fh, fl, uh[:t], ul[:t], p)[0]
                 trail[t] = _reduce(trail[t] + (p - acc), p)
                 uh[t], ul[t] = _limbs(trail[t])
-            if r < m:
-                lh, ll = _limbs(a[r:, pc])
-                prod = _matmul_limbs(lh, ll, uh, ul, p)
-                a[r:, c + width :] = _reduce(a[r:, c + width :] + (p - prod), p)
+            lh, ll = _limbs(a[r:, pc])
+            prod = _matmul_limbs(lh, ll, uh, ul, p)
+            a[r:, c + width :] = _reduce(a[r:, c + width :] + (p - prod), p)
         pivots += piv_cols
         c += width
     return pivots
@@ -265,12 +250,10 @@ def _rank_profile(matrix: np.ndarray, prime: int) -> list[int]:
 
     Column j is a pivot exactly when it is independent of the columns before
     it, whichever rows the elimination swaps, so the number of pivots below j
-    is the rank of the first j columns.
+    is the rank of the first j columns. Small matrices are eliminated in one
+    panel, where a trailing matrix product would not pay for itself.
     """
-    if not 2 <= prime < 2**31:
-        raise ValueError("prime must fit in 31 bits")
-    if not _is_prime(prime):
-        raise ValueError(f"{prime} is not prime")
+    _check_prime(prime)
     # a C-ordered copy even of a transposed view, so row operations stay contiguous
     a = np.array(matrix, dtype=np.int64, order="C")
     if a.ndim != 2:
@@ -278,9 +261,8 @@ def _rank_profile(matrix: np.ndarray, prime: int) -> list[int]:
     if a.size == 0:
         return []
     np.mod(a, prime, out=a)  # np.mod also maps negative entries into [0, p)
-    if min(a.shape) <= 2 * _BLOCK:
-        return _rank_elim(a, prime)
-    return _rank_blocked(a, prime)
+    panel = a.shape[1] if min(a.shape) <= 2 * _BLOCK else _BLOCK
+    return _eliminate(a, prime, panel)
 
 
 def rank_mod_p(matrix: np.ndarray, prime: int) -> int:
@@ -400,10 +382,9 @@ def conditions_matrix(
         raise ValueError("degree must be non-negative")
     if any(m < 0 for m in system.mults):
         raise ValueError("multiplicities must be non-negative")
+    _check_prime(prime)
     if prime <= system.degree:
         raise ValueError("prime must exceed the degree")
-    if not _is_prime(prime) or prime >= 2**31:
-        raise ValueError("need a prime below 2**31")
     n_rows = sum(_point_rows(m, system.degree) for m in system.mults)
     n_cols = math.comb(system.degree + 3, 3)
     if n_rows * n_cols > _MAX_ENTRIES:
@@ -433,6 +414,13 @@ def conditions_matrix(
 
 
 def _sample_points(npoints: int, seed: int, prime: int, mode: str):
+    # p^3 affine points (1, x, y, z) exist; fundamental mode adds the three
+    # vertices outside that chart
+    available = prime**3 + (3 if mode == FUNDAMENTAL else 0)
+    if npoints > available:
+        raise ValueError(
+            f"F_{prime} has only {available} distinct points to sample, not {npoints}"
+        )
     rng = random.Random(seed)
     pts: list[tuple[int, int, int, int]] = []
     seen = set()
@@ -642,6 +630,47 @@ def verify_grid(
                 measured = n_cols - _best_rank(ranks[r], system) - 1
                 rows.append(GridRow(d, m, r, conjectured, measured))
     return GridReport(d_max, m_max, r_max, config.prime, config.seeds, tuple(rows))
+
+
+@dataclass(frozen=True)
+class WindowRow:
+    """One system L(d; m^r) of the window 2m <= d <= 2m + 2: its closed-form
+    verdict, the procedure's answer, the oracle's h1, and whether they agree."""
+
+    d: int
+    m: int
+    r: int
+    verdict: str
+    conjectured: int
+    expected: int
+    h1: int
+    consistent: bool
+    trace: tuple[str, ...]
+
+
+def verify_homogeneous(
+    r: int, m_max: int, config: OracleConfig = DEFAULT_CONFIG
+) -> tuple[WindowRow, ...]:
+    """Hold ``classify_homogeneous`` against the procedure and the oracle on
+    L(d; m^r) for 1 <= m <= m_max and 2m <= d <= 2m + 2. A special verdict
+    needs h1 > 0, a non-special one h1 = 0 and an empty one a conjectured
+    dimension of -1; a verdict that defers to the procedure is not checked."""
+    rows = []
+    for m in range(1, m_max + 1):
+        for d in range(2 * m, 2 * m + 3):
+            system = LinearSystem(d, (m,) * r)  # already normalized, as m >= 1
+            verdict = classify_homogeneous(d, m, r)
+            conjectured, trace = conjectured_dimension(system)
+            h1 = oracle_h1(system, config)
+            consistent = {
+                VERDICT_SPECIAL: h1 > 0,
+                VERDICT_NON_SPECIAL: h1 == 0,
+                VERDICT_EMPTY: conjectured == -1,
+            }.get(verdict, True)
+            expected = expected_dimension(system)
+            lines = tuple(render_trace(trace, start=system).splitlines())
+            rows.append(WindowRow(d, m, r, verdict, conjectured, expected, h1, consistent, lines))
+    return tuple(rows)
 
 
 def cremona_equivariance_check(system: LinearSystem, config: OracleConfig) -> bool:

@@ -16,7 +16,6 @@ from fatpoint3 import (
     OracleConfig,
     SeedDisagreement,
     VERDICT_SPECIAL,
-    classify_homogeneous,
     conjectured_dimension,
     cremona_curve,
     cremona_curve_full,
@@ -33,6 +32,7 @@ from fatpoint3 import (
     quadric_pencil_system,
     speciality_correction,
     verify_grid,
+    verify_homogeneous,
     virtual_dimension,
 )
 from fatpoint3.literals import format_system, parse_system
@@ -114,18 +114,17 @@ def test_criterion_4_emptiness_window():
 
 
 def test_criterion_5_homogeneous_speciality_three_ways():
-    config = OracleConfig(seeds=(1, 2))
     t0 = time.perf_counter()
-    checked = 0
-    for m in range(1, 11):
-        for d in range(2 * m, 2 * m + 3):
-            verdict_special = classify_homogeneous(d, m, 9) == VERDICT_SPECIAL
-            sign_special = 2 * (d + 1) ** 2 < 9 * m * (m + 1)
-            oracle_special = oracle_h1(LinearSystem(d, (m,) * 9), config) > 0
-            assert verdict_special == sign_special == oracle_special, (d, m)
-            checked += 1
+    rows = verify_homogeneous(9, 10, OracleConfig(seeds=(1, 2)))
+    for row in rows:
+        sign_special = 2 * (row.d + 1) ** 2 < 9 * row.m * (row.m + 1)
+        assert row.consistent, (row.d, row.m)
+        assert (row.verdict == VERDICT_SPECIAL) == sign_special == (row.h1 > 0), (row.d, row.m)
+    assert [(row.d, row.m) for row in rows] == [
+        (d, m) for m in range(1, 11) for d in range(2 * m, 2 * m + 3)
+    ]
     elapsed = time.perf_counter() - t0
-    report(5, True, f"{checked} systems agree three ways, {elapsed:.1f} s")
+    report(5, True, f"{len(rows)} systems agree three ways, {elapsed:.1f} s")
 
 
 def _random_system(rng: random.Random) -> LinearSystem:

@@ -98,6 +98,11 @@ def test_oracle_max_cols_guard(capsys):
     assert code == 1 and "--max-cols" in err
 
 
+def test_oracle_refuses_more_points_than_the_field_has(capsys):
+    code, _, err = run(capsys, "oracle", "1 1^9", "--prime", "2")
+    assert code == 1 and "only 8 distinct points" in err
+
+
 def test_oracle_env_prime(capsys, monkeypatch):
     monkeypatch.setenv("FATPOINT3_PRIME", "1000003")
     code, out, _ = run(capsys, "oracle", "2 1^9", "--seeds", "1", "--json")

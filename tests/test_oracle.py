@@ -252,6 +252,15 @@ def test_sample_points_are_prefix_stable():
                     assert oracle_module._sample_points(k, seed, prime, mode) == full[:k]
 
 
+def test_sample_points_refuses_more_points_than_the_field_has():
+    # F_2 has 8 affine points (1, x, y, z); fundamental mode adds 3 vertices
+    for mode, available in ((ALL_RANDOM, 8), (FUNDAMENTAL, 11)):
+        pts = oracle_module._sample_points(available, 1, 2, mode)
+        assert len({oracle_module._projective_key(pt, 2) for pt in pts}) == available
+        with pytest.raises(ValueError, match=f"only {available} distinct points"):
+            oracle_module._sample_points(available + 1, 1, 2, mode)
+
+
 @pytest.mark.parametrize("mode", [ALL_RANDOM, FUNDAMENTAL])
 @pytest.mark.parametrize("seeds", [(1, 2, 3), (4, 5, 6)])
 def test_verify_grid_matches_per_cell_oracle(mode, seeds):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fatpoint3.oracle import DEFAULT_PRIME, _rank_blocked, _rank_elim, _rank_profile, rank_mod_p
+from fatpoint3.oracle import _BLOCK, DEFAULT_PRIME, _eliminate, _rank_profile, rank_mod_p
 
 
 def rank_over_rationals(rows):
@@ -28,12 +28,17 @@ def rank_over_rationals(rows):
 
 def test_rank_matches_rational_reference_on_small_matrices():
     # entries stay tiny, so no nonzero minor can vanish mod 2^31 - 1 and the
-    # ranks over Q and F_p provably coincide
+    # ranks over Q and F_p provably coincide; panels of width 1 to 3 also run
+    # the trailing matrix-product update against the rational reference
     rng = np.random.default_rng(42)
     for _ in range(200):
         m, n = rng.integers(1, 7, size=2)
         a = rng.integers(0, 4, size=(m, n))
-        assert rank_mod_p(a, DEFAULT_PRIME) == rank_over_rationals(a.tolist())
+        expected = rank_over_rationals(a.tolist())
+        pivots = _rank_profile(a, DEFAULT_PRIME)
+        assert len(pivots) == rank_mod_p(a, DEFAULT_PRIME) == expected
+        for panel in (1, 2, 3):
+            assert _eliminate(a.astype(np.int64), DEFAULT_PRIME, panel) == pivots
 
 
 def test_pivot_columns_give_every_row_prefix_rank():
@@ -60,9 +65,9 @@ def test_blocked_and_simple_backends_agree():
         product = np.zeros((m, n), dtype=np.int64)
         for t in range(k):  # exact rank-k product, accumulated mod p
             product = (product + left[:, t : t + 1] * right[t : t + 1, :]) % p
-        pivots = _rank_elim(product.copy(), p)
+        pivots = _eliminate(product.copy(), p, n)  # one panel over every column
         assert len(pivots) == k
-        assert _rank_blocked(product.copy(), p) == pivots
+        assert _eliminate(product.copy(), p, _BLOCK) == pivots
 
 
 def test_blocked_handles_rank_deficient_panels():
@@ -71,8 +76,8 @@ def test_blocked_handles_rank_deficient_panels():
     a = rng.integers(0, p, size=(300, 300), dtype=np.int64)
     a[:, 50:180] = 0          # a whole run of dead columns inside one panel
     a[120:260] = a[119]       # repeated rows
-    pivots = _rank_elim(a.copy(), p)
-    assert _rank_blocked(a.copy(), p) == pivots
+    pivots = _eliminate(a.copy(), p, a.shape[1])
+    assert _eliminate(a.copy(), p, _BLOCK) == pivots
     assert not set(pivots) & set(range(50, 180))  # dead columns never pivot
 
 
