@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -83,9 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exact rank-based dimension of a system")
     p_oracle.add_argument("system")
-    p_oracle.add_argument(
-        "--max-cols", type=int, default=5000, help="refuse matrices wider than this"
-    )
     p_oracle.add_argument("--json", action="store_true")
     _add_oracle_flags(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle)
@@ -162,9 +158,6 @@ def cmd_oracle(args) -> int:
     system = parse_system(args.system)
     if system.degree < 0:
         raise ValueError("degree must be non-negative")
-    n_cols = math.comb(system.degree + 3, 3)
-    if n_cols > args.max_cols:
-        raise ValueError(f"{n_cols} columns exceed --max-cols={args.max_cols}")
     report = oracle_report(system, _config(args))
     if args.json:
         print(

@@ -53,7 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_PRIME = 2**31 - 1
-_M31 = 2**31 - 1
 
 ALL_RANDOM = "all_random"
 FUNDAMENTAL = "fundamental_plus_random"
@@ -138,27 +137,8 @@ def _derivative_orders(mult: int) -> tuple[tuple[int, int, int], ...]:
 
 
 # --- modular arithmetic on int64 arrays (inputs in [0, p), see _check_prime) --
-
-
-def _fold_m31(x: np.ndarray) -> np.ndarray:
-    # reduce values in [0, 2^62) modulo the Mersenne prime 2^31 - 1, in place
-    hi = x >> 31
-    x &= _M31
-    x += hi
-    np.right_shift(x, 31, out=hi)
-    x &= _M31
-    x += hi
-    np.subtract(x, _M31, out=x, where=x >= _M31)
-    return x
-
-
-def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    # consumes x (a temporary produced by the caller)
-    return _fold_m31(x) if p == _M31 else np.mod(x, p, out=x)
-
-
-def _mulmod(x, y, p: int):
-    return _reduce(np.multiply(x, y, dtype=np.int64), p)
+# every reduction is numpy's % on int64, the same for every prime p < 2^31: a
+# product of two residues is below 2^62, and no reduced value reaches 2^63
 
 
 def _limbs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,17 +151,25 @@ def _matmul_limbs(
     """Exact matrix product mod p from 16-bit limb factors held in float64.
 
     Each partial sum is bounded by 2^32 * inner_dim, so the inner dimension
-    must stay below 2^13 for the 53-bit mantissa to hold it exactly.
+    must stay below 2^21 for the 53-bit mantissa to hold it exactly.
     """
-    hh = _reduce((xh @ yh).astype(np.int64), p)
-    mid = _reduce((xh @ yl + xl @ yh).astype(np.int64), p)
-    ll = _reduce((xl @ yl).astype(np.int64), p)
-    out = _reduce(hh * ((1 << 32) % p), p)
-    out = _reduce(out + mid * ((1 << 16) % p), p)
-    return _reduce(out + ll, p)
+    hh = (xh @ yh).astype(np.int64)
+    hh %= p
+    mid = (xh @ yl + xl @ yh).astype(np.int64)
+    mid %= p
+    # hh and mid are now below p, so both products are below (p - 1)^2 < 2^62
+    # and their sum below 2^63; the raw xl @ yl is below 2^32 * inner_dim
+    # (2^39 at _BLOCK), so adding it to a residue cannot overflow either
+    out = hh * ((1 << 32) % p) + mid * ((1 << 16) % p)
+    out %= p
+    out += (xl @ yl).astype(np.int64)
+    out %= p
+    return out
 
 
-_BLOCK = 128  # inner dimension of the limb matmul; must stay below 2^13
+# panel width of the blocked elimination, which is the inner dimension of the
+# limb matmul; exact while it stays below 2^21 (see _matmul_limbs)
+_BLOCK = 128
 
 
 def _eliminate(a: np.ndarray, p: int, panel: int) -> list[int]:
@@ -213,12 +201,10 @@ def _eliminate(a: np.ndarray, p: int, panel: int) -> list[int]:
                 a[[r, pr]] = a[[pr, r]]
             inv = pow(int(a[r, j]), -1, p)
             if r + 1 < m:
-                f = _mulmod(a[r + 1 :, j], inv, p)
-                a[r + 1 :, j + 1 : c + width] = _reduce(
-                    a[r + 1 :, j + 1 : c + width]
-                    + (p - f)[:, None] * a[r, j + 1 : c + width][None, :],
-                    p,
-                )
+                f = a[r + 1 :, j] * inv % p
+                below = a[r + 1 :, j + 1 : c + width]
+                below -= f[:, None] * a[r, j + 1 : c + width]
+                below %= p
                 a[r + 1 :, j] = f
             piv_cols.append(j)
             r += 1
@@ -234,12 +220,13 @@ def _eliminate(a: np.ndarray, p: int, panel: int) -> list[int]:
             uh[0], ul[0] = _limbs(trail[0])
             for t in range(1, k):
                 fh, fl = _limbs(a[r0 + t, pc[:t]][None, :])
-                acc = _matmul_limbs(fh, fl, uh[:t], ul[:t], p)[0]
-                trail[t] = _reduce(trail[t] + (p - acc), p)
+                trail[t] -= _matmul_limbs(fh, fl, uh[:t], ul[:t], p)[0]
+                trail[t] %= p
                 uh[t], ul[t] = _limbs(trail[t])
             lh, ll = _limbs(a[r:, pc])
-            prod = _matmul_limbs(lh, ll, uh, ul, p)
-            a[r:, c + width :] = _reduce(a[r:, c + width :] + (p - prod), p)
+            rest = a[r:, c + width :]
+            rest -= _matmul_limbs(lh, ll, uh, ul, p)
+            rest %= p
         pivots += piv_cols
         c += width
     return pivots
@@ -341,18 +328,19 @@ def _point_block(
         for t in range(1, mult):
             if t > degree:
                 break
-            fall[t, t:] = _mulmod(fall[t - 1, t:], np.arange(1, degree - t + 2), p)
+            fall[t, t:] = fall[t - 1, t:] * np.arange(1, degree - t + 2) % p
         table = np.zeros((mult, degree + 1), dtype=np.int64)
         for t in range(mult):
             if t > degree:
                 break
-            table[t, t:] = _mulmod(fall[t, t:], powers[: degree - t + 1], p)
+            table[t, t:] = fall[t, t:] * powers[: degree - t + 1] % p
         tables.append(table)
 
     evars = exponents[:, chart_vars]
     block = tables[0][orders[:, 0][:, None], evars[:, 0][None, :]]
-    block = _mulmod(block, tables[1][orders[:, 1][:, None], evars[:, 1][None, :]], p)
-    block = _mulmod(block, tables[2][orders[:, 2][:, None], evars[:, 2][None, :]], p)
+    for v in (1, 2):
+        block *= tables[v][orders[:, v][:, None], evars[:, v][None, :]]
+        block %= p
     return block
 
 
@@ -360,12 +348,28 @@ def _point_block(
 # holds several more arrays of that size (L(10; 50^100), 8.2M entries after
 # clamping, peaks at 438 MB of RSS)
 _MAX_ENTRIES = 1 << 23
+# column bound, which holds even with no rows: the monomial basis is built as
+# C(d+3, 3) Python tuples (302,621 for d = 120, 67 MB of peak RSS)
+_MAX_COLS = 20000
 
 
 def _point_rows(mult: int, degree: int) -> int:
     # derivatives of order > d of a degree-d form vanish identically, so a
     # multiplicity above d + 1 adds only zero rows and is clamped to d + 1
     return math.comb(min(mult, degree + 1) + 2, 3)
+
+
+def _checked_shape(system: LinearSystem) -> tuple[int, int]:
+    """Rows and columns of the system's conditions matrix, refusing one too
+    large to assemble densely. The one size rule of the oracle."""
+    n_rows = sum(_point_rows(m, system.degree) for m in system.mults)
+    n_cols = math.comb(system.degree + 3, 3)
+    if n_cols > _MAX_COLS or n_rows * n_cols > _MAX_ENTRIES:
+        raise ValueError(
+            f"a {n_rows} x {n_cols} conditions matrix exceeds the dense limit "
+            f"of {_MAX_COLS} columns and {_MAX_ENTRIES} entries"
+        )
+    return n_rows, n_cols
 
 
 def conditions_matrix(
@@ -385,12 +389,7 @@ def conditions_matrix(
     _check_prime(prime)
     if prime <= system.degree:
         raise ValueError("prime must exceed the degree")
-    n_rows = sum(_point_rows(m, system.degree) for m in system.mults)
-    n_cols = math.comb(system.degree + 3, 3)
-    if n_rows * n_cols > _MAX_ENTRIES:
-        raise ValueError(
-            f"a {n_rows} x {n_cols} conditions matrix exceeds {_MAX_ENTRIES} entries"
-        )
+    n_cols = _checked_shape(system)[1]
     pts = [_as_homogeneous(pt, prime) for pt in points]
     if len(pts) != system.npoints:
         raise ValueError("need exactly one point per multiplicity")
@@ -524,8 +523,7 @@ def oracle_report(system: LinearSystem, config: OracleConfig = DEFAULT_CONFIG) -
     """
     ranks = _seed_ranks(system, config)
     rank = _best_rank(ranks, system)
-    n_cols = math.comb(system.degree + 3, 3)
-    n_rows = sum(_point_rows(m, system.degree) for m in system.mults)
+    n_rows, n_cols = _checked_shape(system)
     dim = n_cols - rank - 1
     h1 = dim - expected_dimension(normalize(system)) if dim >= 0 else 0
     return OracleReport(
@@ -616,8 +614,9 @@ def verify_grid(
 ) -> GridReport:
     """Compare the reduction procedure against the rank oracle on every
     homogeneous system in the box d <= d_max, 1 <= m <= m_max, 1 <= r <= r_max."""
-    if math.comb(d_max + 3, 3) > 20000:
-        raise ValueError("grid degree bound too large for dense elimination")
+    # the largest matrix of the grid, checked before any work (m_max < 1 is an
+    # empty grid, whose matrices have no rows)
+    _checked_shape(LinearSystem(d_max, (max(m_max, 0),) * r_max))
     rows = []
     for d in range(d_max + 1):
         n_cols = math.comb(d + 3, 3)

@@ -94,8 +94,11 @@ def test_oracle_command_triple_point_plane(capsys):
 
 
 def test_oracle_max_cols_guard(capsys):
-    code, _, err = run(capsys, "oracle", "30", "--max-cols", "100")
-    assert code == 1 and "--max-cols" in err
+    # the library's size rule refuses C(63, 3) = 39,711 columns
+    code, _, err = run(capsys, "oracle", "60")
+    assert code == 1 and "exceeds the dense limit of 20000 columns" in err
+    code, out, _ = run(capsys, "oracle", "30", "--seeds", "1")
+    assert code == 0 and "dimension: 5455" in out
 
 
 def test_oracle_refuses_more_points_than_the_field_has(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -294,9 +295,10 @@ def test_multiplicity_clamped_at_degree_plus_one():
 
 def test_conditions_matrix_refuses_huge_systems_before_assembly(monkeypatch):
     def no_assembly(*args):
-        raise AssertionError("a point block was assembled")
+        raise AssertionError("a point block or the monomial basis was built")
 
     monkeypatch.setattr(oracle_module, "_point_block", no_assembly)
+    monkeypatch.setattr(oracle_module, "monomial_basis", no_assembly)
     # 200 points of multiplicity 40 on degree-40 forms: 2,296,000 x 12,341
     system = LinearSystem(40, (40,) * 200)
     points = [(1, i, i * i, 7) for i in range(200)]
@@ -304,6 +306,48 @@ def test_conditions_matrix_refuses_huge_systems_before_assembly(monkeypatch):
         conditions_matrix(system, points)
     with pytest.raises(ValueError, match="exceeds"):
         oracle_dimension(system, FAST)
+    # no points, so no rows, but C(1003, 3) = 167,668,501 columns
+    with pytest.raises(ValueError, match="exceeds"):
+        conditions_matrix(LinearSystem(1000), [])
+    with pytest.raises(ValueError, match="exceeds"):
+        oracle_dimension(LinearSystem(1000), FAST)
+    # the grid checks its largest system, L(40; 10^100) at 22,000 x 12,341,
+    # before its small cells run
+    with pytest.raises(ValueError, match="exceeds"):
+        verify_grid(40, 10, 100, FAST)
+
+
+def _derivative_at(a, alpha, q, p):
+    # d^alpha of prod x_v^(a_v) at the point q, as Python integers
+    value = 1
+    for e, t, x in zip(a, alpha, q):
+        if e < t:
+            return 0
+        value *= math.perm(e, t) * pow(x, e - t, p)
+    return value % p
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 11])
+def test_point_block_entries_match_python_integers(p):
+    degree, mult = 6, 3
+    basis = monomial_basis(degree)
+    # derivative orders graded by total order, then in descending lex order
+    orders = sorted(
+        (alpha for alpha in itertools.product(range(mult), repeat=3) if sum(alpha) < mult),
+        key=lambda alpha: (sum(alpha), tuple(-t for t in alpha)),
+    )
+    # one point in each chart; the second has a zero among its chart coordinates
+    for coords in ((3, 5, 7, 2), (0, 4, 9, 1), (0, 0, 5, 3), (0, 0, 0, 7)):
+        chart = next(i for i, c in enumerate(coords) if c)
+        inv = pow(coords[chart], -1, p)
+        others = [i for i in range(4) if i != chart]
+        q = [coords[i] * inv % p for i in others]
+        expected = [
+            [_derivative_at([a[i] for i in others], alpha, q, p) for a in basis]
+            for alpha in orders
+        ]
+        block = oracle_module._point_block(np.array(basis, dtype=np.int64), coords, mult, p)
+        assert block.dtype == np.int64 and block.tolist() == expected
 
 
 def test_quadric_pencil_rigidity_via_oracle():

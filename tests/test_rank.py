@@ -4,7 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fatpoint3.oracle import _BLOCK, DEFAULT_PRIME, _eliminate, _rank_profile, rank_mod_p
+from fatpoint3.oracle import (
+    _BLOCK,
+    DEFAULT_PRIME,
+    _eliminate,
+    _limbs,
+    _matmul_limbs,
+    _rank_profile,
+    rank_mod_p,
+)
 
 
 def rank_over_rationals(rows):
@@ -27,18 +35,40 @@ def rank_over_rationals(rows):
 
 
 def test_rank_matches_rational_reference_on_small_matrices():
-    # entries stay tiny, so no nonzero minor can vanish mod 2^31 - 1 and the
-    # ranks over Q and F_p provably coincide; panels of width 1 to 3 also run
-    # the trailing matrix-product update against the rational reference
+    # entries stay tiny, so no nonzero minor can vanish mod 2^31 - 1 (a 6 x 6
+    # minor of entries |x| <= 3 is at most 3^6 * 6^3 by Hadamard) and the ranks
+    # over Q and F_p provably coincide; panels of width 1 to 3 also run the
+    # trailing matrix-product update against the rational reference. The
+    # second set holds -1 and -2 as the residues p - 1 and p - 2, so products
+    # in the elimination sit near 2^62 from the first pivot on.
     rng = np.random.default_rng(42)
-    for _ in range(200):
-        m, n = rng.integers(1, 7, size=2)
-        a = rng.integers(0, 4, size=(m, n))
-        expected = rank_over_rationals(a.tolist())
-        pivots = _rank_profile(a, DEFAULT_PRIME)
-        assert len(pivots) == rank_mod_p(a, DEFAULT_PRIME) == expected
-        for panel in (1, 2, 3):
-            assert _eliminate(a.astype(np.int64), DEFAULT_PRIME, panel) == pivots
+    p = DEFAULT_PRIME
+    for low, high in ((0, 4), (-2, 3)):
+        for _ in range(200):
+            m, n = rng.integers(1, 7, size=2)
+            a = rng.integers(low, high, size=(m, n))
+            expected = rank_over_rationals(a.tolist())
+            residues = a % p
+            pivots = _rank_profile(residues, p)
+            assert len(pivots) == rank_mod_p(residues, p) == expected
+            for panel in (1, 2, 3):
+                assert _eliminate(residues.astype(np.int64), p, panel) == pivots
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 65521])
+def test_matmul_limbs_is_exact_at_the_largest_entries(p):
+    # every entry p - 1 over the inner dimension _BLOCK: the largest partial
+    # sums and products the blocked elimination can hand the limb product
+    rng = np.random.default_rng(5)
+    for x, y in (
+        (np.full((3, _BLOCK), p - 1, dtype=np.int64), np.full((_BLOCK, 4), p - 1, dtype=np.int64)),
+        (rng.integers(p // 2, p, size=(5, _BLOCK)), rng.integers(p // 2, p, size=(_BLOCK, 6))),
+    ):
+        got = _matmul_limbs(*_limbs(x), *_limbs(y), p)
+        expected = [
+            [sum(int(u) * int(v) for u, v in zip(row, col)) % p for col in y.T] for row in x
+        ]
+        assert got.dtype == np.int64 and got.tolist() == expected
 
 
 def test_pivot_columns_give_every_row_prefix_rank():
