@@ -19,6 +19,7 @@ from .cremona import (
 from .literals import format_curve, format_system, parse_curve, parse_system
 from .oracle import (
     ALL_RANDOM,
+    DEFAULT_CONFIG,
     DEFAULT_PRIME,
     FUNDAMENTAL,
     OracleConfig,
@@ -65,8 +66,8 @@ def _add_oracle_flags(parser) -> None:
     parser.add_argument(
         "--point-mode",
         choices=[ALL_RANDOM, FUNDAMENTAL],
-        default=ALL_RANDOM,
-        help="point placement strategy",
+        default=DEFAULT_CONFIG.point_mode,
+        help="point placement strategy (default: %(default)s)",
     )
 
 
@@ -156,8 +157,6 @@ def cmd_dim(args) -> int:
 
 def cmd_oracle(args) -> int:
     system = parse_system(args.system)
-    if system.degree < 0:
-        raise ValueError("degree must be non-negative")
     report = oracle_report(system, _config(args))
     if args.json:
         print(

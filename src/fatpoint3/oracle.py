@@ -2,11 +2,14 @@
 
 For each seed, points are sampled in general position, the matrix of vanishing
 conditions imposed by the fat points is assembled over F_p, and its rank is
-computed by exact Gaussian elimination. The dimension is the column count minus
-the best rank across seeds, minus one. A rank equal to min(rows, cols) cannot be
-exceeded by any sample, so it certifies the answer: a grid check runs no
-further seed on a certified cell, while a lone system runs every seed, so its
-report shows whether the seeds agree.
+computed by exact Gaussian elimination. By default the first four points sit at
+the coordinate vertices, which loses no generality (four general points of P^3
+are projectively equivalent to them) and makes their conditions scaled unit
+rows, which the rank engine takes out before eliminating. The dimension is the
+column count minus the best rank across seeds, minus one. A rank equal to
+min(rows, cols) cannot be exceeded by any sample, so it certifies the answer: a
+grid check runs no further seed on a certified cell, while a lone system runs
+every seed, so its report shows whether the seeds agree.
 """
 
 from __future__ import annotations
@@ -95,11 +98,18 @@ def _check_prime(prime: int) -> None:
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Field characteristic, sampling seeds, and point placement mode."""
+    """Field characteristic, sampling seeds, and point placement mode.
+
+    ``FUNDAMENTAL`` (the default) pins the first four points at the coordinate
+    vertices and samples the rest at random; ``ALL_RANDOM`` samples every
+    point in the affine chart x0 = 1. Both are general: the non-general
+    configurations form a closed subset invariant under PGL(4), so it cannot
+    contain every configuration that starts with the four vertices.
+    """
 
     prime: int = DEFAULT_PRIME
     seeds: tuple[int, ...] = (1, 2, 3)
-    point_mode: str = ALL_RANDOM
+    point_mode: str = FUNDAMENTAL
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seeds", tuple(self.seeds))
@@ -237,8 +247,10 @@ def _rank_profile(matrix: np.ndarray, prime: int) -> list[int]:
 
     Column j is a pivot exactly when it is independent of the columns before
     it, whichever rows the elimination swaps, so the number of pivots below j
-    is the rank of the first j columns. Small matrices are eliminated in one
-    panel, where a trailing matrix product would not pay for itself.
+    is the rank of the first j columns. Leading singleton columns and
+    singleton rows are taken out before eliminating. Small matrices are
+    eliminated in one panel, where a trailing matrix product would not pay
+    for itself.
     """
     _check_prime(prime)
     # a C-ordered copy even of a transposed view, so row operations stay contiguous
@@ -248,8 +260,41 @@ def _rank_profile(matrix: np.ndarray, prime: int) -> list[int]:
     if a.size == 0:
         return []
     np.mod(a, prime, out=a)  # np.mod also maps negative entries into [0, p)
-    panel = a.shape[1] if min(a.shape) <= 2 * _BLOCK else _BLOCK
-    return _eliminate(a, prime, panel)
+    # Two structures are taken out before eliminating; both keep the column
+    # rank profile, not only the rank. A fat point at a coordinate vertex
+    # gives one scaled unit row per monomial it kills: singleton rows of the
+    # conditions matrix, and leading singleton columns of its transpose.
+    #
+    # Leading columns, those before the first column with two nonzero
+    # entries: a nonzero one is a pivot exactly when no earlier one hits its
+    # row, and together they span the unit vectors e_i of the rows they hit
+    # (the covered rows). So a later column depends on the columns before it
+    # exactly when, off the covered rows, it depends on the later columns
+    # before it; there the leading columns that are not pivots are zero.
+    #
+    # Singleton rows among the uncovered rows (which are zero on the leading
+    # columns): let S be the columns holding the only nonzero entry of such a
+    # row. Each j in S is a pivot, since no other column is nonzero in that
+    # row. A column k not in S is zero on every singleton row, so if
+    # c_k = sum of l_i c_i over i < k, the singleton row of each i in S forces
+    # l_i = 0; the relation uses columns outside S only, and holds exactly
+    # when it holds off the singleton rows. So the remaining pivots are those
+    # of the matrix without the covered and singleton rows and without the
+    # pivots found so far. Zero rows are dropped with them.
+    nonzero = a != 0
+    dense_cols = np.flatnonzero(np.count_nonzero(nonzero, axis=0) > 1)
+    lead = int(dense_cols[0]) if dense_cols.size else a.shape[1]
+    covered = nonzero[:, :lead].any(axis=1)
+    counts = np.count_nonzero(nonzero, axis=1)
+    pivot = np.zeros(a.shape[1], dtype=bool)
+    # the first nonzero of a covered row lies in the leading columns
+    pivot[nonzero[covered | (counts == 1)].argmax(axis=1)] = True
+    rest_cols = np.flatnonzero(~pivot)
+    rest = a[np.ix_(np.flatnonzero(~covered & (counts > 1)), rest_cols)]
+    del a, nonzero  # free the full copy before eliminating what is left
+    panel = rest.shape[1] if min(rest.shape) <= 2 * _BLOCK else _BLOCK
+    pivot[rest_cols[_eliminate(rest, prime, panel)]] = True
+    return np.flatnonzero(pivot).tolist()
 
 
 def rank_mod_p(matrix: np.ndarray, prime: int) -> int:
@@ -360,8 +405,13 @@ def _point_rows(mult: int, degree: int) -> int:
 
 
 def _checked_shape(system: LinearSystem) -> tuple[int, int]:
-    """Rows and columns of the system's conditions matrix, refusing one too
-    large to assemble densely. The one size rule of the oracle."""
+    """Rows and columns of the system's conditions matrix, refusing a
+    malformed system or one too large to assemble densely. The one place the
+    oracle validates systems, and its one size rule."""
+    if system.degree < 0:
+        raise ValueError("degree must be non-negative")
+    if any(m < 0 for m in system.mults):
+        raise ValueError("multiplicities must be non-negative")
     n_rows = sum(_point_rows(m, system.degree) for m in system.mults)
     n_cols = math.comb(system.degree + 3, 3)
     if n_cols > _MAX_COLS or n_rows * n_cols > _MAX_ENTRIES:
@@ -382,14 +432,10 @@ def conditions_matrix(
     no derivative coefficient vanishes in characteristic p. Multiplicities
     above d + 1 are clamped to d + 1, which drops only zero rows.
     """
-    if system.degree < 0:
-        raise ValueError("degree must be non-negative")
-    if any(m < 0 for m in system.mults):
-        raise ValueError("multiplicities must be non-negative")
+    n_cols = _checked_shape(system)[1]
     _check_prime(prime)
     if prime <= system.degree:
         raise ValueError("prime must exceed the degree")
-    n_cols = _checked_shape(system)[1]
     pts = [_as_homogeneous(pt, prime) for pt in points]
     if len(pts) != system.npoints:
         raise ValueError("need exactly one point per multiplicity")
@@ -452,7 +498,7 @@ def _cell_ranks(
     cell, and stop when none is left. Without it every seed runs on every cell.
     """
     degree, prime = system.degree, config.prime
-    n_cols = math.comb(degree + 3, 3)
+    n_cols = _checked_shape(system)[1]
     offsets = [0]
     for m in system.mults:
         offsets.append(offsets[-1] + _point_rows(m, degree))

@@ -101,9 +101,27 @@ def test_oracle_max_cols_guard(capsys):
     assert code == 0 and "dimension: 5455" in out
 
 
+def test_oracle_refuses_a_negative_degree(capsys):
+    code, out, err = run(capsys, "oracle", "-5")
+    assert code == 1 and out == "" and "degree must be non-negative" in err
+
+
+def test_oracle_defaults_to_the_library_placement(capsys):
+    code, out, _ = run(capsys, "oracle", "16 7^9", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["point_mode"] == "fundamental_plus_random" and payload["dimension"] == 212
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--help"])
+    assert exc.value.code == 0
+    assert "(default: fundamental_plus_random)" in " ".join(capsys.readouterr().out.split())
+
+
 def test_oracle_refuses_more_points_than_the_field_has(capsys):
-    code, _, err = run(capsys, "oracle", "1 1^9", "--prime", "2")
+    code, _, err = run(capsys, "oracle", "1 1^9", "--prime", "2", "--point-mode", "all_random")
     assert code == 1 and "only 8 distinct points" in err
+    code, _, err = run(capsys, "oracle", "1 1^12", "--prime", "2")  # plus three vertices
+    assert code == 1 and "only 11 distinct points" in err
 
 
 def test_oracle_env_prime(capsys, monkeypatch):

@@ -22,11 +22,13 @@ from fatpoint3 import (
     oracle_report,
     quadric_pencil_system,
     verify_grid,
+    verify_homogeneous,
 )
 from fatpoint3.literals import parse_system
 import fatpoint3.oracle as oracle_module
 
 FAST = OracleConfig(seeds=(1, 2))
+RANDOM = OracleConfig(seeds=(1, 2), point_mode=ALL_RANDOM)
 
 
 def test_monomial_basis_counts_and_order():
@@ -95,9 +97,13 @@ def test_oracle_dimension_no_points():
 
 
 def test_oracle_rejects_bad_input():
-    with pytest.raises(ValueError):
-        oracle_dimension(LinearSystem(-1, ()), FAST)
-    with pytest.raises(ValueError):
+    # validated before any arithmetic on the shape, with the library's message
+    for degree in (-1, -5):
+        with pytest.raises(ValueError, match="degree must be non-negative"):
+            oracle_dimension(LinearSystem(degree, ()), FAST)
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        verify_grid(-5, 1, 1, FAST)
+    with pytest.raises(ValueError, match="multiplicities must be non-negative"):
         oracle_dimension(LinearSystem(3, (-1,)), FAST)
 
 
@@ -129,7 +135,7 @@ def test_oracle_matches_monomial_count_up_to_four_points():
         mults = tuple(rng.randrange(0, d + 2) for _ in range(r))
         system = LinearSystem(d, mults)
         expected = frame_dimension(d, mults)
-        assert oracle_dimension(system, FAST) == expected
+        assert oracle_dimension(system, RANDOM) == expected
         assert oracle_dimension(system, fundamental) == expected
         conjectured = conjectured_dimension(normalize(system))[0]
         assert conjectured == expected
@@ -379,7 +385,58 @@ def test_equivariance_check_published_pairs():
 
 def test_equivariance_check_requires_fundamental_mode():
     with pytest.raises(ValueError):
-        cremona_equivariance_check(parse_system("7 4^6"), FAST)
+        cremona_equivariance_check(parse_system("7 4^6"), RANDOM)
+
+
+def test_fundamental_is_the_default_placement():
+    assert OracleConfig().point_mode == FUNDAMENTAL
+    points = oracle_module._sample_points(6, 1, oracle_module.DEFAULT_PRIME, FAST.point_mode)
+    assert points[:4] == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+
+
+def test_both_placements_give_the_same_window():
+    fundamental = [row.h1 for row in verify_homogeneous(9, 5, FAST)]
+    assert fundamental == [row.h1 for row in verify_homogeneous(9, 5, RANDOM)]
+
+
+def test_rank_engine_eliminates_only_the_random_points(monkeypatch):
+    shapes = []
+    eliminate = oracle_module._eliminate
+
+    def recording(a, p, panel):
+        shapes.append(a.shape)
+        return eliminate(a, p, panel)
+
+    monkeypatch.setattr(oracle_module, "_eliminate", recording)
+    system = parse_system("6 3^6")  # four vertices, then two random points
+    points = oracle_module._sample_points(6, 1, oracle_module.DEFAULT_PRIME, FUNDAMENTAL)
+    entries = conditions_matrix(system, points).entries
+    # vertex v kills the monomials with a_v > d - m_v = 3
+    killed = sum(any(a > 3 for a in alpha) for alpha in monomial_basis(6))
+    assert oracle_module.rank_mod_p(entries, oracle_module.DEFAULT_PRIME) == 20 + killed
+    assert shapes[-1] == (20, 84 - killed)  # only the random points' rows
+    pivots = oracle_module._rank_profile(entries.T, oracle_module.DEFAULT_PRIME)
+    assert shapes[-1][0] == 84 - killed and len(pivots) == 20 + killed
+
+
+@pytest.mark.parametrize("literal", ["3 3^4 1", "4 4^2 3^2 2^3"])
+def test_both_placements_agree_where_vertex_columns_overlap(literal):
+    system = parse_system(literal)
+    # two vertices kill a shared monomial, so the vertex rows hold duplicate
+    # singleton rows on one column
+    points = oracle_module._sample_points(system.npoints, 1, 101, FUNDAMENTAL)
+    entries = conditions_matrix(system, points, 101).entries
+    singles = np.count_nonzero(entries, axis=1) == 1
+    columns = (entries[singles] != 0).argmax(axis=1)
+    assert len(set(columns.tolist())) < singles.sum()
+    # the rank engine's pruning keeps the pivots of the unpruned engine, on the
+    # matrix (singleton rows) and on its transpose (leading singleton columns)
+    for m in (entries, entries.T):
+        unpruned = oracle_module._eliminate(np.array(m, order="C"), 101, m.shape[1])
+        assert oracle_module._rank_profile(m, 101) == unpruned
+    reports = [oracle_report(system, config) for config in (FAST, RANDOM)]
+    assert reports[0].h1 == reports[1].h1 and reports[0].ranks == reports[1].ranks
+    assert reports[0].dimension == conjectured_dimension(normalize(system))[0]
 
 
 def test_oracle_config_validation():

@@ -84,6 +84,48 @@ def test_pivot_columns_give_every_row_prefix_rank():
             assert bisect.bisect_left(pivots, k) == rank_over_rationals(a[:k].tolist())
 
 
+def _assert_profile(a, p=DEFAULT_PRIME):
+    # the pruned profile against the unpruned engine and, column prefix by
+    # column prefix, against the rank over Q
+    pivots = _rank_profile(a, p)
+    assert pivots == _eliminate(np.array(a, dtype=np.int64) % p, p, a.shape[1])
+    for j in range(a.shape[1] + 1):
+        assert bisect.bisect_left(pivots, j) == rank_over_rationals(a[:, :j].tolist())
+    return pivots
+
+
+def test_pruning_keeps_the_column_rank_profile():
+    duplicate = np.array([[0, 3, 0, 0], [0, 5, 0, 0], [1, 2, 1, 0], [2, 4, 2, 0]])
+    assert _assert_profile(duplicate) == [0, 1]
+    shared = np.array([[0, 0, 7], [1, 1, 2], [2, 3, 5]])  # column 2 also in dense rows
+    assert _assert_profile(shared) == [0, 1, 2]
+    every_row_singleton = np.array([[0, 2, 0], [4, 0, 0], [0, 0, 1], [3, 0, 0]])
+    assert _assert_profile(every_row_singleton) == [0, 1, 2]
+    zero_rows = np.array([[0, 0, 0], [1, 1, 0], [0, 0, 0], [2, 2, 0]])
+    assert _assert_profile(zero_rows) == [0]
+    # singleton rows of a transposed view are singleton columns of its base
+    base = np.array([[1, 0, 0], [2, 0, 3], [4, 6, 0], [5, 0, 0]])
+    assert _assert_profile(base.T) == [0, 1, 2]
+    # leading singleton columns: two on one row, a zero column among them, and
+    # their rows used again by later columns
+    lead = np.array([[2, 0, 5, 0, 1, 1], [0, 0, 0, 3, 1, 2], [0, 0, 0, 0, 1, 1]])
+    assert _assert_profile(lead) == [0, 3, 4]
+    # random matrices with planted singleton rows and leading singleton
+    # columns, some on a shared column or row
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        m, n = (int(x) for x in rng.integers(1, 7, size=2))
+        a = rng.integers(0, 3, size=(m, n))
+        for i in np.flatnonzero(rng.random(m) < 0.5):
+            a[i] = 0
+            a[i, rng.integers(0, n)] = rng.integers(1, 4)
+        for j in range(int(rng.integers(0, n + 1))):
+            a[:, j] = 0
+            a[rng.integers(0, m), j] = rng.integers(0, 4)
+        _assert_profile(a)
+        _assert_profile(a.T)
+
+
 def test_blocked_and_simple_backends_agree():
     rng = np.random.default_rng(3)
     p = DEFAULT_PRIME
