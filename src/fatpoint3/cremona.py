@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .literals import format_system
-from .systems import CurveClass, LinearSystem, LineCycle, normalize
+from .systems import CurveClass, LinearSystem, LineCycle, check_point_count, normalize
 
 __all__ = [
     "CREMONA",
@@ -74,6 +74,7 @@ def _check_quadruple(idx: tuple[int, ...]) -> None:
         raise ValueError("need four distinct point indices")
     if min(idx) < 0:
         raise ValueError("point indices must be non-negative")
+    check_point_count(max(idx) + 1)  # the system is padded to that many points
 
 
 def _padded(mults: tuple[int, ...], idx: tuple[int, ...]) -> list[int]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import groupby
 
-from .systems import CurveClass, LinearSystem
+from .systems import CurveClass, LinearSystem, check_point_count
 
 __all__ = ["parse_system", "format_system", "parse_curve", "format_curve"]
 
@@ -16,8 +16,13 @@ def _int(token: str, what: str = "token") -> int:
         raise ValueError(f"bad {what} {token!r}") from None
 
 
-def _expand(token: str) -> list[int]:
-    if "^" in token:
+def _expand(tokens: list[str]) -> list[int]:
+    # multiplicity tokens, each ``m`` or ``m^k``, as one list
+    mults: list[int] = []
+    for token in tokens:
+        if "^" not in token:
+            mults.append(_int(token, "multiplicity"))
+            continue
         base_text, _, exp_text = token.partition("^")
         try:
             base, exponent = int(base_text), int(exp_text)
@@ -25,8 +30,11 @@ def _expand(token: str) -> list[int]:
             raise ValueError(f"bad token {token!r}") from None
         if exponent < 1:
             raise ValueError(f"exponent must be positive in {token!r}")
-        return [base] * exponent
-    return [_int(token, "multiplicity")]
+        check_point_count(len(mults) + exponent)  # before the run is built
+        mults += [base] * exponent
+    # plain tokens are checked last: they grow the list no faster than the text
+    check_point_count(len(mults))
+    return mults
 
 
 def parse_system(text: str) -> LinearSystem:
@@ -37,8 +45,7 @@ def parse_system(text: str) -> LinearSystem:
     if "^" in tokens[0]:
         raise ValueError(f"degree token {tokens[0]!r} cannot carry an exponent")
     degree = _int(tokens[0], "degree")
-    mults = [m for token in tokens[1:] for m in _expand(token)]
-    return LinearSystem(degree, tuple(mults))
+    return LinearSystem(degree, tuple(_expand(tokens[1:])))
 
 
 def _format_mults(mults: tuple[int, ...], sugar: bool) -> list[str]:
@@ -69,11 +76,10 @@ def parse_curve(text: str) -> CurveClass:
     if "^" in tokens[0]:
         raise ValueError(f"degree token {tokens[0]!r} cannot carry an exponent")
     degree = _int(tokens[0], "degree")
-    mults: list[int] = []
     k = 1
     while k < len(tokens) and tokens[k] != "b":
-        mults.extend(_expand(tokens[k]))
         k += 1
+    mults = _expand(tokens[1:k])
     incidences = []
     while k < len(tokens):
         if tokens[k] != "b" or k + 3 >= len(tokens):

@@ -20,7 +20,24 @@ __all__ = [
     "canonical_class",
     "to_divisor",
     "point_conditions",
+    "MAX_POINTS",
+    "check_point_count",
 ]
+
+# The most points a literal, a Cremona index or a verify box may name. It is
+# checked before a run m^k is expanded, a system padded up to an index or a
+# verify box built, so a short command line such as "12 1^1000000000" (a list
+# of 8 GB) is refused at once, while a list at the cap takes under 1 MB. It
+# stands 100 times above the r of about 1,000 in long-r sweeps; the
+# procedure's pairwise walks grow as r^2 and already take 1.4 s for
+# L(16; 1^3000) on a 2-core Xeon VM.
+MAX_POINTS = 100_000
+
+
+def check_point_count(count: int) -> None:
+    """Refuse a system of more than ``MAX_POINTS`` points."""
+    if count > MAX_POINTS:
+        raise ValueError(f"{count} points exceed the limit of {MAX_POINTS}")
 
 
 def point_conditions(mult: int) -> int:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import fatpoint3
 from fatpoint3 import LinearSystem, normalize
 from fatpoint3.cli import main
 from fatpoint3.cremona import cremona_system
@@ -78,6 +83,58 @@ def test_dim_parse_error_names_token(capsys):
     code, _, err = run(capsys, "dim", "3 2^x")
     assert code == 1
     assert "2^x" in err
+
+
+def test_point_cap_exits_1(capsys):
+    code, out, err = run(capsys, "dim", f"12 1^{10**12}")
+    assert code == 1 and out == "" and "exceed the limit" in err
+    code, out, err = run(capsys, "transform", "5 2^3", "1", "2", "3", str(10**12))
+    assert code == 1 and out == "" and "exceed the limit" in err
+
+
+_PROBE = """
+import json, sys
+import fatpoint3
+from fatpoint3.cli import main
+loaded = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    main(argv)
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded), file=sys.stderr)
+"""
+
+
+def fresh_main(*argvs):
+    """Run ``main`` on each argv in a new interpreter. Returns its stdout, and
+    whether numpy was loaded after ``import fatpoint3`` and after each call."""
+    src = str(Path(fatpoint3.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+        check=True,
+    )
+    return proc.stdout, json.loads(proc.stderr.splitlines()[-1])
+
+
+def test_procedure_commands_load_no_numpy():
+    _, loaded = fresh_main(
+        ["dim", "12 7^6", "--trace"],
+        ["dim", "12 7^6", "--json"],
+        ["transform", "7 4^6", "1", "2", "3", "4"],
+        ["orbit", "--points", "6", "--max-degree", "3"],
+    )
+    assert loaded == [False] * 5
+
+
+def test_oracle_loads_numpy_on_first_use():
+    out, loaded = fresh_main(["oracle", "12 7^6", "--json"])
+    assert loaded == [False, True]
+    payload = json.loads(out)
+    assert payload["ranks"] == [454, 454, 454] and payload["dimension"] == 0
 
 
 def test_oracle_command(capsys):

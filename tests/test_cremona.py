@@ -20,6 +20,7 @@ from fatpoint3 import (
     render_trace,
 )
 from fatpoint3.literals import format_system, parse_system
+from fatpoint3.systems import MAX_POINTS
 
 FIRST_FOUR = (0, 1, 2, 3)
 
@@ -35,6 +36,15 @@ def test_cremona_system_pads_missing_points():
     out = cremona_system(parse_system("3 3^3"), FIRST_FOUR)
     assert out == LinearSystem(0, (0, 0, 0, -3))
     assert normalize(out) == parse_system("0 -3")
+
+
+def test_cremona_refuses_an_index_past_the_point_cap():
+    # padding up to index 10^12 would be a list of 8 TB
+    with pytest.raises(ValueError, match="exceed the limit"):
+        cremona_system(parse_system("5 2^3"), (0, 1, 2, 10**12))
+    with pytest.raises(ValueError, match="exceed the limit"):
+        cremona_curve(CurveClass(1, (1, 1)), (0, 1, 2, 10**12))
+    assert cremona_system(LinearSystem(1), (0, 1, 2, MAX_POINTS - 1)).npoints == MAX_POINTS
 
 
 def test_cremona_system_fixed_point():

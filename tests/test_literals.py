@@ -2,6 +2,7 @@ import pytest
 
 from fatpoint3 import CurveClass, LinearSystem
 from fatpoint3.literals import format_curve, format_system, parse_curve, parse_system
+from fatpoint3.systems import MAX_POINTS
 
 
 def test_parse_system_sugar():
@@ -35,6 +36,19 @@ def test_system_round_trip(literal):
 def test_parse_system_errors_name_token(bad):
     with pytest.raises(ValueError):
         parse_system(bad)
+
+
+@pytest.mark.parametrize("parse", [parse_system, parse_curve])
+def test_point_count_is_capped_before_expanding(parse):
+    # 10^12 points would be a list of 8 TB
+    with pytest.raises(ValueError, match="exceed the limit"):
+        parse(f"12 1^{10**12}")
+    # the cap bounds the total, not each token
+    with pytest.raises(ValueError, match="exceed the limit"):
+        parse(f"12 1^{MAX_POINTS} 2")
+    with pytest.raises(ValueError, match="exceed the limit"):
+        parse(f"12 2 1^{MAX_POINTS}")
+    assert len(parse(f"3 0^{MAX_POINTS}").mults) == MAX_POINTS
 
 
 def test_parse_curve_plain():

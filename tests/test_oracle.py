@@ -321,6 +321,11 @@ def test_conditions_matrix_refuses_huge_systems_before_assembly(monkeypatch):
     # before its small cells run
     with pytest.raises(ValueError, match="exceeds"):
         verify_grid(40, 10, 100, FAST)
+    # a point count past the cap is refused before its system is built
+    with pytest.raises(ValueError, match="exceed the limit"):
+        verify_grid(1, 1, 10**12, FAST)
+    with pytest.raises(ValueError, match="exceed the limit"):
+        verify_homogeneous(10**12, 1, FAST)
 
 
 def _derivative_at(a, alpha, q, p):
