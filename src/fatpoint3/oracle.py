@@ -159,101 +159,88 @@ def _derivative_orders(mult: int) -> tuple[tuple[int, int, int], ...]:
 
 
 # --- modular arithmetic on int64 arrays (inputs in [0, p), see _check_prime) --
-# every reduction is numpy's % on int64, the same for every prime p < 2^31: a
-# product of two residues is below 2^62, and no reduced value reaches 2^63
+# a product of two residues is below 2^62, and no reduced value reaches 2^63
 
 
-def _limbs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for int64 entries above -2^62. Past a few hundred
+    entries numpy divides by a scalar faster than its %, above all for x < 0."""
+    x -= x // p * p
+    return x
+
+
+# the kernel's proved bound on the inner dimension, so the widest panel with a
+# trailing update: a 16-bit limb times a residue is at most (2^16 - 1)(2^31 - 2),
+# and 64 such products sum below 2^53, which float64 holds exactly
+_BLOCK = 64
+_ROWS = 1024  # rows per product in the trailing update, bounding its temporaries
+
+
+def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """x @ y mod p for int64 factors with entries in [0, p), exact while the
+    inner dimension is at most _BLOCK. Only x is split into 16-bit limbs, so
+    this is two float64 products, each partial sum an exact integer."""
     import numpy as np
-    return (x >> 16).astype(np.float64), (x & 0xFFFF).astype(np.float64)
-
-
-def _matmul_limbs(
-    xh: np.ndarray, xl: np.ndarray, yh: np.ndarray, yl: np.ndarray, p: int
-) -> np.ndarray:
-    """Exact matrix product mod p from 16-bit limb factors held in float64.
-
-    Each partial sum is bounded by 2^32 * inner_dim, so the inner dimension
-    must stay below 2^21 for the 53-bit mantissa to hold it exactly.
-    """
-    import numpy as np
-    hh = (xh @ yh).astype(np.int64)
-    hh %= p
-    mid = (xh @ yl + xl @ yh).astype(np.int64)
-    mid %= p
-    # hh and mid are now below p, so both products are below (p - 1)^2 < 2^62
-    # and their sum below 2^63; the raw xl @ yl is below 2^32 * inner_dim
-    # (2^39 at _BLOCK), so adding it to a residue cannot overflow either
-    out = hh * ((1 << 32) % p) + mid * ((1 << 16) % p)
-    out %= p
-    out += (xl @ yl).astype(np.int64)
-    out %= p
-    return out
-
-
-# panel width of the blocked elimination, which is the inner dimension of the
-# limb matmul; exact while it stays below 2^21 (see _matmul_limbs)
-_BLOCK = 128
+    if x.shape[1] > _BLOCK:
+        raise ValueError(f"inner dimension {x.shape[1]} exceeds {_BLOCK}")
+    yf = y.astype(np.float64)
+    out = _reduce(((x >> 16).astype(np.float64) @ yf).astype(np.int64), p)
+    out <<= 16  # below 2^47, and adding the low product keeps it below 2^54
+    out += ((x & 0xFFFF).astype(np.float64) @ yf).astype(np.int64)
+    return _reduce(out, p)
 
 
 def _eliminate(a: np.ndarray, p: int, panel: int) -> list[int]:
-    """Row echelon of ``a`` (entries in [0, p)) in column panels of width
-    ``panel``, in place; returns the pivot columns.
+    """Pivot columns of ``a`` (entries in [0, p)), eliminated in column
+    panels of width ``panel``; ``a`` is overwritten.
 
-    Inside a panel each pivot updates the panel's columns to its right and
-    its multipliers are stashed in the cleared pivot column; the trailing
-    matrix then gets one exact matrix product per panel. With one panel
-    spanning every column no trailing update runs, and this is plain
-    Gaussian elimination.
+    A panel is eliminated pivot by pivot in a contiguous copy, its row swaps
+    kept as a permutation of the live rows and its multipliers stashed in the
+    cleared pivot columns. Its k pivot rows are then dropped (a column rank
+    profile never needs U), and the other rows get one Schur update in place,
+    rest -= (L21 L11^-1) top, with L11 and L21 the multipliers of the pivot
+    rows and of the rest. Both products have inner dimension k, so a panel
+    narrower than the matrix is at most _BLOCK wide; one panel spanning every
+    column is plain Gaussian elimination.
     """
     import numpy as np
-    m, n = a.shape
     pivots: list[int] = []
-    r = 0
+    live = np.arange(len(a))  # rows not yet used as pivots
     c = 0
-    while r < m and c < n:
-        width = min(panel, n - c)
-        r0 = r
-        piv_cols = []
-        for j in range(c, c + width):
-            if r == m:
-                break
-            nz = np.flatnonzero(a[r:, j])
+    while len(live) and c < a.shape[1]:
+        width = min(panel, a.shape[1] - c)
+        blk = a[live, c : c + width]
+        piv: list[int] = []
+        for j in range(width):
+            r = len(piv)  # past the last row, nz is empty
+            nz = np.flatnonzero(blk[r:, j])
             if nz.size == 0:
                 continue
             pr = r + int(nz[0])
             if pr != r:
-                a[[r, pr]] = a[[pr, r]]
-            inv = pow(int(a[r, j]), -1, p)
-            if r + 1 < m:
-                f = a[r + 1 :, j] * inv % p
-                below = a[r + 1 :, j + 1 : c + width]
-                below -= f[:, None] * a[r, j + 1 : c + width]
-                below %= p
-                a[r + 1 :, j] = f
-            piv_cols.append(j)
-            r += 1
-        k = r - r0
-        if k and r < m and c + width < n:
-            pc = np.array(piv_cols)
-            trail = a[r0:, c + width :]
-            w = trail.shape[1]
-            # pivot rows settle in order, each against the rows above it;
-            # limb copies of settled rows are kept so nothing is re-split
-            uh = np.empty((k, w))
-            ul = np.empty((k, w))
-            uh[0], ul[0] = _limbs(trail[0])
-            for t in range(1, k):
-                fh, fl = _limbs(a[r0 + t, pc[:t]][None, :])
-                trail[t] -= _matmul_limbs(fh, fl, uh[:t], ul[:t], p)[0]
-                trail[t] %= p
-                uh[t], ul[t] = _limbs(trail[t])
-            lh, ll = _limbs(a[r:, pc])
-            rest = a[r:, c + width :]
-            rest -= _matmul_limbs(lh, ll, uh, ul, p)
-            rest %= p
-        pivots += piv_cols
+                blk[[r, pr]] = blk[[pr, r]]
+                live[[r, pr]] = live[[pr, r]]
+            f = blk[r + 1 :, j] * pow(int(blk[r, j]), -1, p) % p  # one column: % is faster
+            below = blk[r + 1 :, j + 1 :]
+            below -= f[:, None] * blk[r, j + 1 :]
+            _reduce(below, p)
+            blk[r + 1 :, j] = f
+            piv.append(j)
+        k = len(piv)
+        pivots += [c + j for j in piv]
+        top, live = live[:k], live[k:]
         c += width
+        if k and len(live) and c < a.shape[1]:
+            l = blk[:, piv]
+            inv = np.eye(k, dtype=np.int64)  # L11^-1, by forward substitution
+            for s in range(k - 1):
+                inv[s + 1 :] -= l[s + 1 : k, s, None] * inv[s]
+                _reduce(inv[s + 1 :], p)
+            mult = _matmul_mod(l[k:], inv, p)
+            u = a[top, c:]
+            for i in range(0, len(live), _ROWS):
+                rows = live[i : i + _ROWS]
+                a[rows, c:] = _reduce(a[rows, c:] - _matmul_mod(mult[i : i + _ROWS], u, p), p)
     return pivots
 
 
@@ -263,9 +250,8 @@ def _rank_profile(matrix: np.ndarray, prime: int) -> list[int]:
     Column j is a pivot exactly when it is independent of the columns before
     it, whichever rows the elimination swaps, so the number of pivots below j
     is the rank of the first j columns. Leading singleton columns and
-    singleton rows are taken out before eliminating. Small matrices are
-    eliminated in one panel, where a trailing matrix product would not pay
-    for itself.
+    singleton rows are taken out before eliminating; what is left goes to
+    ``_eliminate`` in panels at most _BLOCK wide, narrower for fewer columns.
     """
     import numpy as np
     _check_prime(prime)
@@ -308,7 +294,8 @@ def _rank_profile(matrix: np.ndarray, prime: int) -> list[int]:
     rest_cols = np.flatnonzero(~pivot)
     rest = a[np.ix_(np.flatnonzero(~covered & (counts > 1)), rest_cols)]
     del a, nonzero  # free the full copy before eliminating what is left
-    panel = rest.shape[1] if min(rest.shape) <= 2 * _BLOCK else _BLOCK
+    # sqrt(4 cols) balances a panel's pivot loop and its trailing update (README)
+    panel = min(_BLOCK, math.isqrt(4 * rest.shape[1]))
     pivot[rest_cols[_eliminate(rest, prime, panel)]] = True
     return np.flatnonzero(pivot).tolist()
 
@@ -406,9 +393,8 @@ def _point_block(
     return block
 
 
-# rows x cols bound on one dense int64 conditions matrix (64 MiB); elimination
-# holds several more arrays of that size (L(10; 50^100), 8.2M entries after
-# clamping, peaks at 438 MB of RSS)
+# rows x cols bound on one dense int64 conditions matrix (64 MiB); pruning holds
+# two more arrays of that size (L(10; 50^100) peaks at about 200 MB of RSS)
 _MAX_ENTRIES = 1 << 23
 # column bound, which holds even with no rows: the monomial basis is built as
 # C(d+3, 3) Python tuples (302,621 for d = 120, 67 MB of peak RSS)
@@ -450,7 +436,7 @@ def conditions_matrix(
     above d + 1 are clamped to d + 1, which drops only zero rows.
     """
     import numpy as np
-    n_cols = _checked_shape(system)[1]
+    n_rows, n_cols = _checked_shape(system)
     _check_prime(prime)
     if prime <= system.degree:
         raise ValueError("prime must exceed the degree")
@@ -461,15 +447,13 @@ def conditions_matrix(
     if len(keys) != len(pts):
         raise ValueError("points must be pairwise distinct")
     exponents = np.array(monomial_basis(system.degree), dtype=np.int64)
-    blocks = [
-        _point_block(exponents, pt, min(m, system.degree + 1), prime)
-        for pt, m in zip(pts, system.mults)
-        if m >= 1
-    ]
-    if blocks:
-        entries = np.vstack(blocks)
-    else:
-        entries = np.zeros((0, n_cols), dtype=np.int64)
+    entries = np.empty((n_rows, n_cols), dtype=np.int64)
+    row = 0
+    for pt, m in zip(pts, system.mults):
+        if m >= 1:
+            k = _point_rows(m, system.degree)
+            entries[row : row + k] = _point_block(exponents, pt, min(m, system.degree + 1), prime)
+            row += k
     return ConditionsMatrix(entries, prime)
 
 
@@ -556,6 +540,11 @@ def _best_rank(ranks: list[int], system: LinearSystem) -> int:
     return max(ranks)
 
 
+def _dimension_and_h1(system: LinearSystem, rank: int) -> tuple[int, int]:
+    dim = math.comb(system.degree + 3, 3) - rank - 1
+    return dim, (dim - expected_dimension(normalize(system)) if dim >= 0 else 0)
+
+
 @dataclass(frozen=True)
 class OracleReport:
     """One oracle run. ``ranks`` holds every seed's rank, in seed order. A
@@ -588,8 +577,7 @@ def oracle_report(system: LinearSystem, config: OracleConfig = DEFAULT_CONFIG) -
     ranks = _seed_ranks(system, config)
     rank = _best_rank(ranks, system)
     n_rows, n_cols = _checked_shape(system)
-    dim = n_cols - rank - 1
-    h1 = dim - expected_dimension(normalize(system)) if dim >= 0 else 0
+    dim, h1 = _dimension_and_h1(system, rank)
     return OracleReport(
         system,
         config.prime,
@@ -718,7 +706,8 @@ def verify_homogeneous(
     """Hold ``classify_homogeneous`` against the procedure and the oracle on
     L(d; m^r) for 1 <= m <= m_max and 2m <= d <= 2m + 2. A special verdict
     needs h1 > 0, a non-special one h1 = 0 and an empty one a conjectured
-    dimension of -1; a verdict that defers to the procedure is not checked."""
+    dimension of -1; a verdict that defers to the procedure is not checked.
+    A seed after one that certifies the cell's rank does not run."""
     check_point_count(r)
     rows = []
     for m in range(1, m_max + 1):
@@ -726,7 +715,8 @@ def verify_homogeneous(
             system = LinearSystem(d, (m,) * r)  # already normalized, as m >= 1
             verdict = classify_homogeneous(d, m, r)
             conjectured, trace = conjectured_dimension(system)
-            h1 = oracle_h1(system, config)
+            ranks = _cell_ranks(system, config, (r,))[r]
+            h1 = _dimension_and_h1(system, _best_rank(ranks, system))[1]
             consistent = {
                 VERDICT_SPECIAL: h1 > 0,
                 VERDICT_NON_SPECIAL: h1 == 0,

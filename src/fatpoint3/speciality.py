@@ -3,7 +3,6 @@ and speciality verdicts."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -45,22 +44,31 @@ VERDICT_NON_SPECIAL = "non_special"
 VERDICT_PROCEDURE = "procedure_required"
 
 
-def _line_excesses(system: LinearSystem):
-    for i, j in itertools.combinations(range(system.npoints), 2):
-        yield i, j, system.mults[i] + system.mults[j] - system.degree
+def _line_excesses(system: LinearSystem, least: int):
+    """(i, j, t), i < j, for each point pair whose excess t = m_i + m_j - d is at
+    least ``least``; by decreasing m, a point's partners stop at the first short one."""
+    m, d = system.mults, system.degree
+    order = sorted(range(len(m)), key=m.__getitem__, reverse=True)
+    for a, i in enumerate(order):
+        for b in range(a + 1, len(order)):
+            t = m[i] + m[order[b]] - d
+            if t < least:
+                if b == a + 1:  # then no later point has a partner either
+                    return
+                break
+            yield min(i, order[b]), max(i, order[b]), t
 
 
 def gamma_cycle(system: LinearSystem) -> LineCycle:
     """Lines forced into the base locus: the pair {i, j} enters with weight
     t_ij = m_i + m_j - d whenever that excess is at least 1."""
-    weights = {(i, j): t for i, j, t in _line_excesses(system) if t >= 1}
-    return LineCycle.from_dict(weights)
+    return LineCycle(tuple(_line_excesses(system, 1)))
 
 
 def speciality_correction(system: LinearSystem) -> int:
     """Dimension excess contributed by base lines: sum of C(t_ij+1, 3) over
     all point pairs with t_ij >= 2."""
-    return sum(math.comb(t + 1, 3) for _, _, t in _line_excesses(system) if t >= 2)
+    return sum(math.comb(t + 1, 3) for _, _, t in _line_excesses(system, 2))
 
 
 def quadric_triple(system: LinearSystem) -> int:

@@ -271,3 +271,17 @@ def test_system_literal_round_trip(system):
 @given(full_curves())
 def test_curve_literal_round_trip(curve):
     assert parse_curve(format_curve(curve)) == curve
+
+
+@given(systems())
+def test_line_corrections_match_the_plain_pairwise_walk(system):
+    # every pair, as the corrections were first written; the library stops
+    # its walk at the first pair whose excess falls short
+    excesses = [
+        (i, j, system.mults[i] + system.mults[j] - system.degree)
+        for i in range(system.npoints)
+        for j in range(i + 1, system.npoints)
+    ]
+    weights = {(i, j): t for i, j, t in excesses if t >= 1}
+    assert gamma_cycle(system) == LineCycle.from_dict(weights)
+    assert speciality_correction(system) == sum(math.comb(t + 1, 3) for *_, t in excesses if t >= 2)

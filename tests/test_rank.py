@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fatpoint3.oracle as oracle_module
 from fatpoint3.oracle import (
     _BLOCK,
     DEFAULT_PRIME,
     _eliminate,
-    _limbs,
-    _matmul_limbs,
+    _matmul_mod,
     _rank_profile,
     rank_mod_p,
 )
@@ -56,19 +56,82 @@ def test_rank_matches_rational_reference_on_small_matrices():
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 65521])
-def test_matmul_limbs_is_exact_at_the_largest_entries(p):
-    # every entry p - 1 over the inner dimension _BLOCK: the largest partial
-    # sums and products the blocked elimination can hand the limb product
+def test_matmul_mod_is_exact_at_the_largest_entries(p):
+    # every entry p - 1 over the inner dimension _BLOCK, the widest panel: the
+    # largest partial sums the trailing update can hand the two float64
+    # products, (2^16 - 1)(2^31 - 2) * 64 < 2^53 for p = 2^31 - 1
     rng = np.random.default_rng(5)
     for x, y in (
         (np.full((3, _BLOCK), p - 1, dtype=np.int64), np.full((_BLOCK, 4), p - 1, dtype=np.int64)),
         (rng.integers(p // 2, p, size=(5, _BLOCK)), rng.integers(p // 2, p, size=(_BLOCK, 6))),
     ):
-        got = _matmul_limbs(*_limbs(x), *_limbs(y), p)
+        got = _matmul_mod(x, y, p)
         expected = [
             [sum(int(u) * int(v) for u, v in zip(row, col)) % p for col in y.T] for row in x
         ]
         assert got.dtype == np.int64 and got.tolist() == expected
+    with pytest.raises(ValueError):
+        _matmul_mod(np.ones((1, _BLOCK + 1), dtype=np.int64), np.ones((_BLOCK + 1, 1), dtype=np.int64), p)
+
+
+def _planted(m, pivot_cols, n, rng):
+    # C @ E, with E in row echelon form (unit pivots at pivot_cols) and C of
+    # full column rank over every field (its top block is unit lower
+    # triangular): C is injective, so C @ E has exactly the column
+    # dependencies of E, and its column rank profile is pivot_cols over Q and
+    # over every F_p; the rows are then shuffled
+    k = len(pivot_cols)
+    e = np.zeros((k, n), dtype=np.int64)
+    for t, j in enumerate(pivot_cols):
+        e[t, j] = 1
+        e[t, j + 1 :] = rng.integers(0, 3, size=n - j - 1)
+        e[t, [c for c in pivot_cols if c > j]] = 0
+    c = rng.integers(0, 3, size=(m, k))
+    c[:k] = np.tril(c[:k], -1) + np.eye(k, dtype=np.int64)
+    return rng.permutation(c @ e)
+
+
+def test_panels_agree_with_one_panel_and_the_planted_profile():
+    rng = np.random.default_rng(23)
+    cases = {
+        # rows run out in the middle of the second panel of the widest width
+        "rows out mid-panel": (50, range(0, 100, 2), 180),
+        # the second and third panels of the widest width hold no pivot
+        "panel with no pivot": (150, [*range(40), *range(200, 230)], 240),
+        "fewer rows than the width": (10, [3, 7, 70, 71, 100, 101, 102, 140, 141, 149], 150),
+        "single row": (1, [5], 150),
+        "single column": (40, [0], 1),
+        "zero column": (40, [], 1),
+        # more rows than one trailing product takes
+        "tall": (2500, [*range(0, 60), *range(70, 130)], 140),
+    }
+    for name, (m, pivot_cols, n) in cases.items():
+        pivot_cols = list(pivot_cols)
+        a = _planted(m, pivot_cols, n, rng) % DEFAULT_PRIME
+        assert _eliminate(a.copy(), DEFAULT_PRIME, n) == pivot_cols, name  # one panel
+        for panel in (1, 2, 3, _BLOCK):
+            assert _eliminate(a.copy(), DEFAULT_PRIME, panel) == pivot_cols, (name, panel)
+        assert _rank_profile(a, DEFAULT_PRIME) == pivot_cols, name
+        if m * n <= 1500:  # small enough for the rational reference, prefix by prefix
+            for j in range(n + 1):
+                assert bisect.bisect_left(pivot_cols, j) == rank_over_rationals(a[:, :j].tolist())
+
+
+def test_engine_never_asks_the_kernel_past_its_bound(monkeypatch):
+    inner = []
+
+    def checked(x, y, p):
+        inner.append(x.shape[1])
+        assert x.shape[1] == y.shape[0] <= _BLOCK
+        return _matmul_mod(x, y, p)
+
+    monkeypatch.setattr(oracle_module, "_matmul_mod", checked)
+    rng = np.random.default_rng(29)
+    # from a few columns to enough for the widest panel, tall and wide
+    for m, n in ((40, 30), (300, 120), (120, 300), (900, 1100), (1500, 80)):
+        a = rng.integers(0, DEFAULT_PRIME, size=(m, n), dtype=np.int64)
+        assert len(_rank_profile(a, DEFAULT_PRIME)) == min(m, n)
+    assert max(inner) == _BLOCK
 
 
 def test_pivot_columns_give_every_row_prefix_rank():
