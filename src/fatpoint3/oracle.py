@@ -2,10 +2,13 @@
 
 For each seed, points are sampled in general position, the matrix of vanishing
 conditions imposed by the fat points is assembled over F_p, and its rank is
-computed by exact Gaussian elimination. By default the first four points sit at
-the coordinate vertices, which loses no generality (four general points of P^3
-are projectively equivalent to them) and makes their conditions scaled unit
-rows, which the rank engine takes out before eliminating. The dimension is the
+computed by exact Gaussian elimination. Assembly builds one table of falling
+factorials per chart and scales it, one column scale and one row scale per
+point, by powers of the point's coordinates, computed for all points at once.
+By default the first four points sit at the coordinate vertices, which loses
+no generality (four general points of P^3 are projectively equivalent to them)
+and makes their conditions scaled unit rows, which assembly writes directly
+and the rank engine takes out before eliminating. The dimension is the
 column count minus the best rank across seeds, minus one. A rank equal to
 min(rows, cols) cannot be exceeded by any sample, so it certifies the answer: a
 grid check runs no further seed on a certified cell, while a lone system runs
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import random
 import warnings
@@ -148,14 +152,31 @@ def monomial_basis(degree: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(basis)
 
 
-def _derivative_orders(mult: int) -> tuple[tuple[int, int, int], ...]:
-    # all three-variable orders with |alpha| <= mult - 1, graded then lex
-    orders = []
-    for total in range(mult):
-        for a1 in range(total, -1, -1):
-            for a2 in range(total - a1, -1, -1):
-                orders.append((a1, a2, total - a1 - a2))
-    return tuple(orders)
+# A point of multiplicity m imposes one condition per derivative order alpha
+# with |alpha| <= m - 1, graded, then in descending lex order. These are the
+# last three exponents of the first C(m+2, 3) monomials, (d - |alpha|, alpha),
+# so one table indexes both the columns and the rows. Only the last degree's
+# tables are kept, as grid and window calls come in runs of one degree: with
+# 32 degrees kept, window9's peak RSS read 59.5 MB against 54.9 (heap layout).
+@functools.lru_cache(maxsize=1)
+def _degree_tables(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two read-only 4 x C(d+3, 3) int64 tables: monomial_basis(degree), one
+    column per monomial, and in row c, for each derivative order (d - |a|, a)
+    of that table, the column of the monomial x_c^(d - |a|) x^a, on which a
+    point at vertex c puts its only nonzero entry (see conditions_matrix)."""
+    import numpy as np
+    exponents = np.array(monomial_basis(degree), dtype=np.int64).reshape(-1, 4).T
+    columns = np.empty_like(exponents)
+    for c in range(4):
+        e = exponents[[*range(1, c + 1), 0, *range(c + 1, 4)]]  # d - |a| moved to c
+        # C(n0 + 2, 3) monomials come before e for a larger x0 exponent,
+        # C(n1 + 1, 2) for an equal one and a larger x1 exponent, and e_3 for
+        # equal ones and a larger x2 exponent
+        n0 = degree - e[0]
+        n1 = n0 - e[1]
+        columns[c] = n0 * (n0 + 1) * (n0 + 2) // 6 + n1 * (n1 + 1) // 2 + e[3]
+    exponents.flags.writeable = columns.flags.writeable = False
+    return exponents, columns
 
 
 # --- modular arithmetic on int64 arrays (inputs in [0, p), see _check_prime) --
@@ -255,13 +276,18 @@ def _rank_profile(matrix: np.ndarray, prime: int) -> list[int]:
     """
     import numpy as np
     _check_prime(prime)
-    # a C-ordered copy even of a transposed view, so row operations stay contiguous
-    a = np.array(matrix, dtype=np.int64, order="C")
+    # no copy: the input is only read, and the engine gets the C-ordered array
+    # that the gather of the rows and columns left after pruning makes, even
+    # from a transposed view
+    a = np.asarray(matrix, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError("need a two-dimensional matrix")
     if a.size == 0:
         return []
-    np.mod(a, prime, out=a)  # np.mod also maps negative entries into [0, p)
+    # conditions_matrix gives entries in [0, p) already; np.mod also maps
+    # negative entries into [0, p)
+    if a.min() < 0 or a.max() >= prime:
+        a = np.mod(a, prime)
     # Two structures are taken out before eliminating; both keep the column
     # rank profile, not only the rank. A fat point at a coordinate vertex
     # gives one scaled unit row per monomial it kills: singleton rows of the
@@ -293,7 +319,7 @@ def _rank_profile(matrix: np.ndarray, prime: int) -> list[int]:
     pivot[nonzero[covered | (counts == 1)].argmax(axis=1)] = True
     rest_cols = np.flatnonzero(~pivot)
     rest = a[np.ix_(np.flatnonzero(~covered & (counts > 1)), rest_cols)]
-    del a, nonzero  # free the full copy before eliminating what is left
+    del a, nonzero  # free a reduced copy before eliminating what is left
     # sqrt(4 cols) balances a panel's pivot loop and its trailing update (README)
     panel = min(_BLOCK, math.isqrt(4 * rest.shape[1]))
     pivot[rest_cols[_eliminate(rest, prime, panel)]] = True
@@ -332,69 +358,24 @@ class ConditionsMatrix:
         return rank_mod_p(self.entries, self.prime)
 
 
-def _as_homogeneous(point, prime: int) -> tuple[int, int, int, int]:
-    coords = tuple(int(c) % prime for c in point)
+def _projective_key(point, prime: int) -> tuple[int, int, int, int]:
+    """A point given by 3 affine (chart x0 = 1) or 4 homogeneous coordinates,
+    as homogeneous coordinates mod p whose first nonzero one is 1."""
+    coords = [int(c) % prime for c in point]
     if len(coords) == 3:
-        coords = (1,) + coords
+        return (1, *coords)
     if len(coords) != 4:
         raise ValueError("points need 3 affine or 4 homogeneous coordinates")
-    if not any(coords):
+    chart = next((i for i, c in enumerate(coords) if c), None)
+    if chart is None:
         raise ValueError("(0:0:0:0) is not a projective point")
-    return coords
-
-
-def _projective_key(coords: tuple[int, int, int, int], prime: int):
-    chart = next(i for i, c in enumerate(coords) if c)
     inv = pow(coords[chart], -1, prime)
     return tuple(c * inv % prime for c in coords)
 
 
-def _point_block(
-    exponents: np.ndarray, coords: tuple[int, int, int, int], mult: int, prime: int
-) -> np.ndarray:
-    """Rows of derivative conditions for one fat point.
-
-    The point is dehomogenized in the chart of its first nonzero coordinate
-    and all partial derivatives of order below ``mult`` are evaluated there.
-    """
-    import numpy as np
-    p = prime
-    chart = next(i for i, c in enumerate(coords) if c)
-    inv = pow(coords[chart], -1, p)
-    chart_vars = [i for i in range(4) if i != chart]
-    q = [coords[i] * inv % p for i in chart_vars]
-    degree = int(exponents[0].sum()) if len(exponents) else 0
-    orders = np.array(_derivative_orders(mult), dtype=np.int64)
-
-    # tables[v][t, e] = e*(e-1)*...*(e-t+1) * q_v^(e-t) mod p, zero when e < t
-    tables = []
-    for v in range(3):
-        powers = np.ones(degree + 1, dtype=np.int64)
-        for e in range(1, degree + 1):
-            powers[e] = powers[e - 1] * q[v] % p
-        fall = np.zeros((mult, degree + 1), dtype=np.int64)
-        fall[0] = 1
-        for t in range(1, mult):
-            if t > degree:
-                break
-            fall[t, t:] = fall[t - 1, t:] * np.arange(1, degree - t + 2) % p
-        table = np.zeros((mult, degree + 1), dtype=np.int64)
-        for t in range(mult):
-            if t > degree:
-                break
-            table[t, t:] = fall[t, t:] * powers[: degree - t + 1] % p
-        tables.append(table)
-
-    evars = exponents[:, chart_vars]
-    block = tables[0][orders[:, 0][:, None], evars[:, 0][None, :]]
-    for v in (1, 2):
-        block *= tables[v][orders[:, v][:, None], evars[:, v][None, :]]
-        block %= p
-    return block
-
-
 # rows x cols bound on one dense int64 conditions matrix (64 MiB); pruning holds
-# two more arrays of that size (L(10; 50^100) peaks at about 200 MB of RSS)
+# one more array of that size and a boolean one (L(10; 50^100) peaks at about
+# 165 MB of RSS)
 _MAX_ENTRIES = 1 << 23
 # column bound, which holds even with no rows: the monomial basis is built as
 # C(d+3, 3) Python tuples (302,621 for d = 120, 67 MB of peak RSS)
@@ -425,6 +406,21 @@ def _checked_shape(system: LinearSystem) -> tuple[int, int]:
     return n_rows, n_cols
 
 
+# entries per assembly pass over the points of one chart, or one point's
+# block if that is larger: _reduce's temporaries stay below the rank engine's
+# (one pass over a whole batch of points set window9's peak RSS)
+_PASS_ENTRIES = 1 << 16
+
+
+def _powers(base: np.ndarray, n: int, p: int) -> np.ndarray:
+    """base^e mod p for 0 <= e < n, along a new last axis."""
+    import numpy as np
+    out = np.ones(base.shape + (n,), dtype=np.int64)
+    for e in range(1, n):
+        out[..., e] = out[..., e - 1] * base % p
+    return out
+
+
 def conditions_matrix(
     system: LinearSystem, points, prime: int = DEFAULT_PRIME
 ) -> ConditionsMatrix:
@@ -438,23 +434,86 @@ def conditions_matrix(
     import numpy as np
     n_rows, n_cols = _checked_shape(system)
     _check_prime(prime)
-    if prime <= system.degree:
+    d, p = system.degree, prime
+    if p <= d:
         raise ValueError("prime must exceed the degree")
-    pts = [_as_homogeneous(pt, prime) for pt in points]
-    if len(pts) != system.npoints:
+    keys = [_projective_key(pt, p) for pt in points]
+    if len(keys) != system.npoints:
         raise ValueError("need exactly one point per multiplicity")
-    keys = {_projective_key(pt, prime) for pt in pts}
-    if len(keys) != len(pts):
+    if len(set(keys)) != len(keys):
         raise ValueError("points must be pairwise distinct")
-    exponents = np.array(monomial_basis(system.degree), dtype=np.int64)
+    # every row is written below; np.zeros put window9's peak RSS 0.8 MB higher
     entries = np.empty((n_rows, n_cols), dtype=np.int64)
-    row = 0
-    for pt, m in zip(pts, system.mults):
+    # each point with rows, dehomogenized in the chart of its first nonzero
+    # coordinate (which its key sets to 1): (chart, the other three
+    # coordinates q, multiplicity clamped at d + 1)
+    fat = []
+    for key, m in zip(keys, system.mults):
         if m >= 1:
-            k = _point_rows(m, system.degree)
-            entries[row : row + k] = _point_block(exponents, pt, min(m, system.degree + 1), prime)
+            c = key.index(1)
+            fat.append((c, key[:c] + key[c + 1 :], min(m, d + 1)))
+    if not fat:
+        return ConditionsMatrix(entries, p)
+    exponents, vertex_columns = _degree_tables(d)
+    # Row a (a derivative order) and column e (a monomial) of a point's block
+    # hold d^a x^e at q, the product over the chart's variables v of
+    #   e_v! / (e_v - a_v)! * q_v^(e_v - a_v),  zero where e_v < a_v,
+    # so F[a, e] q^e q^-a: a table F of falling factorials shared by the
+    # chart, one scale per column and one per row. Where q_v = 0, q_v^(e_v - a_v)
+    # is 1 if e_v = a_v and 0 otherwise: the scales take q_v = 1, and the
+    # entries with e_v != a_v are zeroed. Every product below is of two
+    # residues, so below p^2 < 2^62, and is reduced before the next.
+    general = [(c, q, m) for c, q, m in fat if any(q)]
+    if general:
+        mmax = max(m for *_, m in general)
+        fall = np.array(
+            [[math.perm(e, t) % p for e in range(d + 1)] for t in range(mmax)], dtype=np.int64
+        )
+        q = np.array([q for _, q, _ in general], dtype=np.int64)
+        zero = q == 0
+        base = np.where(zero, 1, q)
+        inv = np.array([pow(x, -1, p) for x in base.ravel().tolist()], dtype=np.int64)
+        powers = _powers(base, d + 1, p)  # q_v^e, every point at once
+        inv_powers = _powers(inv.reshape(base.shape), mmax, p)  # q_v^-a
+        shared = {}  # chart -> F, for the chart's largest multiplicity
+    # A point at a vertex has every q_v = 0, so row a has one nonzero entry,
+    # a_1! a_2! a_3!, on the monomial x_c^(d - |a|) x^a; the rows are written
+    # directly.
+    fact = np.array([math.factorial(t) % p for t in range(d + 1)], dtype=np.int64)
+    o = exponents[1:, : max((_point_rows(m, d) for _, q, m in fat if not any(q)), default=0)]
+    unit = fact[o[0]] * fact[o[1]] % p * fact[o[2]] % p
+    row = g = 0
+    for (c, m, vertex), run in itertools.groupby(fat, lambda f: (f[0], f[2], not any(f[1]))):
+        cnt = len(list(run))  # points are distinct, so a vertex runs alone
+        k = _point_rows(m, d)
+        if vertex:
+            entries[row : row + k] = 0
+            entries[row + np.arange(k), vertex_columns[c, :k]] = unit[:k]
             row += k
-    return ConditionsMatrix(entries, prime)
+            continue
+        a = exponents[1:, :k]  # the derivative orders
+        e = exponents[[v for v in range(4) if v != c]]  # the columns' exponents of q's variables
+        if c not in shared:
+            top = exponents[1:, : _point_rows(max(m for c2, _, m in general if c2 == c), d), None]
+            f = fall[top[0], e[0]] * fall[top[1], e[1]] % p
+            shared[c] = f * fall[top[2], e[2]] % p
+        step = max(1, _PASS_ENTRIES // (k * n_cols))  # points per pass
+        for i in range(g, g + cnt, step):
+            pts = slice(i, min(i + step, g + cnt))
+            cols = powers[pts, 0, e[0]] * powers[pts, 1, e[1]] % p
+            cols = cols * powers[pts, 2, e[2]] % p
+            rows = inv_powers[pts, 0, a[0]] * inv_powers[pts, 1, a[1]] % p
+            rows = rows * inv_powers[pts, 2, a[2]] % p
+            block = entries[row : row + len(cols) * k].reshape(len(cols), k, n_cols)
+            np.multiply(shared[c][:k], cols[:, None, :], out=block)
+            _reduce(block, p)
+            block *= rows[:, :, None]
+            _reduce(block, p)
+            for j, v in zip(*np.nonzero(zero[pts])):
+                block[j][a[v, :, None] != e[v]] = 0
+            row += len(cols) * k
+        g += cnt
+    return ConditionsMatrix(entries, p)
 
 
 # --- the oracle ---------------------------------------------------------------

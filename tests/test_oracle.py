@@ -64,6 +64,21 @@ def test_conditions_matrix_rejects_coincident_points():
     # projectively equal homogeneous coordinates are also rejected
     with pytest.raises(ValueError):
         conditions_matrix(parse_system("3 1^2"), [(1, 1, 2, 3), (2, 2, 4, 6)])
+    # an affine point and a homogeneous one with coordinates past p
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        conditions_matrix(parse_system("3 1^2"), [(1, 2, 3), (101 + 2, 2, 4, -95)], prime=101)
+
+
+def test_conditions_matrix_rejects_malformed_points():
+    system = parse_system("3 1")
+    with pytest.raises(ValueError, match="3 affine or 4 homogeneous"):
+        conditions_matrix(system, [(1, 2)])
+    with pytest.raises(ValueError, match="not a projective point"):
+        conditions_matrix(system, [(0, 0, 0, 0)])
+    with pytest.raises(ValueError, match="not a projective point"):
+        conditions_matrix(system, [(101, 0, -202, 0)], prime=101)
+    with pytest.raises(ValueError, match="one point per multiplicity"):
+        conditions_matrix(system, [(1, 2, 3), (4, 5, 6)])
 
 
 def test_conditions_matrix_rejects_small_prime():
@@ -287,12 +302,18 @@ def test_multiplicity_clamped_at_degree_plus_one():
     clamped = conditions_matrix(parse_system("3 6^2"), pts)
     reference = conditions_matrix(parse_system("3 4^2"), pts)
     assert clamped.entries.shape == reference.entries.shape == (40, 20)
+    assert (clamped.entries == reference.entries).all()
     assert clamped.rank() == reference.rank() == 20
     # the dropped rows, derivatives of order 4 and 5 of a cubic, are all zero
-    exponents = np.array(monomial_basis(3), dtype=np.int64)
-    full = oracle_module._point_block(exponents, (1, 1, 2, 3), 6, oracle_module.DEFAULT_PRIME)
-    assert full.shape == (56, 20) and not full[20:].any()
-    assert (full[:20] == clamped.entries[:20]).all()
+    p = oracle_module.DEFAULT_PRIME
+    full = [[_derivative_at(a[1:], alpha, (1, 2, 3), p) for a in monomial_basis(3)]
+            for alpha in _orders(6)]
+    assert len(full) == 56 and not any(any(row) for row in full[20:])
+    assert clamped.entries[:20].tolist() == full[:20]
+    # the same at a vertex, whose rows are written directly
+    vertices = [(0, 0, 3, 0), (5, 0, 0, 0)]
+    assert (conditions_matrix(parse_system("3 6^2"), vertices).entries
+            == conditions_matrix(parse_system("3 4^2"), vertices).entries).all()
     report = oracle_report(parse_system("3 6^2"), FAST)
     assert report.n_rows == 40 and report.dimension == -1 and report.certified
     # the size guard counts clamped rows: 10 x 10, not C(1002, 3) x 10
@@ -301,9 +322,10 @@ def test_multiplicity_clamped_at_degree_plus_one():
 
 def test_conditions_matrix_refuses_huge_systems_before_assembly(monkeypatch):
     def no_assembly(*args):
-        raise AssertionError("a point block or the monomial basis was built")
+        raise AssertionError("a point was dehomogenized or an exponent table built")
 
-    monkeypatch.setattr(oracle_module, "_point_block", no_assembly)
+    monkeypatch.setattr(oracle_module, "_projective_key", no_assembly)
+    monkeypatch.setattr(oracle_module, "_degree_tables", no_assembly)
     monkeypatch.setattr(oracle_module, "monomial_basis", no_assembly)
     # 200 points of multiplicity 40 on degree-40 forms: 2,296,000 x 12,341
     system = LinearSystem(40, (40,) * 200)
@@ -338,27 +360,39 @@ def _derivative_at(a, alpha, q, p):
     return value % p
 
 
-@pytest.mark.parametrize("p", [2**31 - 1, 11])
-def test_point_block_entries_match_python_integers(p):
-    degree, mult = 6, 3
-    basis = monomial_basis(degree)
+def _orders(mult):
     # derivative orders graded by total order, then in descending lex order
-    orders = sorted(
+    return sorted(
         (alpha for alpha in itertools.product(range(mult), repeat=3) if sum(alpha) < mult),
         key=lambda alpha: (sum(alpha), tuple(-t for t in alpha)),
     )
-    # one point in each chart; the second has a zero among its chart coordinates
-    for coords in ((3, 5, 7, 2), (0, 4, 9, 1), (0, 0, 5, 3), (0, 0, 0, 7)):
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 11])
+def test_conditions_matrix_entries_match_python_integers(p, monkeypatch):
+    degree = 6
+    basis = monomial_basis(degree)
+    # unnormalized points in each chart: two in chart 0, assembled together,
+    # one of them and the point in chart 2 with a zero among their chart
+    # coordinates, and vertices in charts 3 and 1
+    points = ((3, 5, 7, 2), (6, 0, 1, 4), (0, 4, 9, 1), (0, 0, 5, 3), (0, 0, 0, 7), (0, 2, 0, 0))
+    mults = (3, 3, 3, 3, 3, 2)
+    expected = []
+    for coords, mult in zip(points, mults):
         chart = next(i for i, c in enumerate(coords) if c)
         inv = pow(coords[chart], -1, p)
         others = [i for i in range(4) if i != chart]
         q = [coords[i] * inv % p for i in others]
-        expected = [
+        expected += [
             [_derivative_at([a[i] for i in others], alpha, q, p) for a in basis]
-            for alpha in orders
+            for alpha in _orders(mult)
         ]
-        block = oracle_module._point_block(np.array(basis, dtype=np.int64), coords, mult, p)
-        assert block.dtype == np.int64 and block.tolist() == expected
+    entries = conditions_matrix(LinearSystem(degree, mults), points, p).entries
+    assert entries.dtype == np.int64 and entries.tolist() == expected
+    # points of one chart are assembled _PASS_ENTRIES entries at a time, here
+    # one point at a time
+    monkeypatch.setattr(oracle_module, "_PASS_ENTRIES", 1)
+    assert conditions_matrix(LinearSystem(degree, mults), points, p).entries.tolist() == expected
 
 
 def test_quadric_pencil_rigidity_via_oracle():

@@ -1,7 +1,10 @@
 """Property-based checks of the algebraic identities behind the procedure."""
 
 import math
+import os
+import sys
 
+import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from fatpoint3 import (
@@ -9,6 +12,7 @@ from fatpoint3 import (
     LinearSystem,
     LineCycle,
     canonical_class,
+    conditions_matrix,
     conjectured_dimension,
     cremona_curve,
     cremona_curve_full,
@@ -19,6 +23,7 @@ from fatpoint3 import (
     gamma_cycle,
     intersect_curve,
     is_standard_form,
+    monomial_basis,
     normalize,
     quadric_triple,
     remove_quadrics,
@@ -28,6 +33,10 @@ from fatpoint3 import (
     virtual_dimension,
 )
 from fatpoint3.literals import format_curve, format_system, parse_curve, parse_system
+
+# the Python-integer evaluation of conditions lives beside the oracle's tests
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from test_oracle import _derivative_at, _orders  # noqa: E402
 
 mult_lists = st.lists(st.integers(-4, 9), max_size=8).map(tuple)
 quadruples = st.permutations(range(8)).map(lambda p: tuple(p[:4]))
@@ -285,3 +294,62 @@ def test_line_corrections_match_the_plain_pairwise_walk(system):
     weights = {(i, j): t for i, j, t in excesses if t >= 1}
     assert gamma_cycle(system) == LineCycle.from_dict(weights)
     assert speciality_correction(system) == sum(math.comb(t + 1, 3) for *_, t in excesses if t >= 2)
+
+
+def _homogeneous(point, p):
+    coords = [c % p for c in (point if len(point) == 4 else (1, *point))]
+    chart = next((i for i, c in enumerate(coords) if c), None)
+    return coords, chart
+
+
+@st.composite
+def fat_point_systems(draw):
+    """A prime, a ragged system of small degree with multiplicities up to
+    d + 3, and distinct points: affine, unnormalized homogeneous (some with
+    zero coordinates), and vertices, in any order."""
+    p = draw(st.sampled_from([11, 101, 2**31 - 1]))
+    d = draw(st.integers(0, 5))
+    mults = tuple(draw(st.lists(st.integers(0, d + 3), max_size=6)))
+    coordinate = st.one_of(st.just(0), st.integers(0, p - 1), st.integers(-3 * p, 3 * p))
+    vertex = st.tuples(st.integers(0, 3), st.integers(1, p - 1)).map(
+        lambda t: tuple(t[1] if i == t[0] else 0 for i in range(4))
+    )
+    point = st.one_of(
+        vertex, st.tuples(*[coordinate] * 3), st.tuples(*[coordinate] * 4)
+    ).filter(lambda pt: _homogeneous(pt, p)[1] is not None)
+
+    def key(pt):
+        coords, chart = _homogeneous(pt, p)
+        inv = pow(coords[chart], -1, p)
+        return tuple(c * inv % p for c in coords)
+
+    points = draw(st.lists(point, min_size=len(mults), max_size=len(mults), unique_by=key))
+    return p, LinearSystem(d, mults), points
+
+
+@settings(deadline=None)
+@given(fat_point_systems())
+def test_conditions_matrix_matches_python_integers(case):
+    p, system, points = case
+    d = system.degree
+    basis = monomial_basis(d)
+    expected, vertex_rows = [], []
+    for point, mult in zip(points, system.mults):
+        coords, chart = _homogeneous(point, p)
+        inv = pow(coords[chart], -1, p)
+        others = [i for i in range(4) if i != chart]
+        q = [coords[i] * inv % p for i in others]
+        for alpha in _orders(min(mult, d + 1)):
+            expected.append([_derivative_at([a[i] for i in others], alpha, q, p) for a in basis])
+            if not any(q):  # a vertex: the only nonzero is at x_c^(d - |a|) x^a
+                monomial = [0] * 4
+                monomial[chart] = d - sum(alpha)
+                for i, t in zip(others, alpha):
+                    monomial[i] = t
+                value = math.prod(math.factorial(t) for t in alpha) % p
+                vertex_rows.append((len(expected) - 1, basis.index(tuple(monomial)), value))
+    entries = conditions_matrix(system, points, p).entries
+    assert entries.dtype == np.int64 and entries.shape == (len(expected), len(basis))
+    assert entries.tolist() == expected
+    for i, column, value in vertex_rows:
+        assert np.flatnonzero(entries[i]).tolist() == [column] and entries[i, column] == value

@@ -226,6 +226,36 @@ def test_rank_handles_negative_entries_and_small_primes():
     assert rank_mod_p(b, 5) == 2
 
 
+def test_entries_outside_the_field_are_reduced_and_the_input_kept():
+    # the engine reduces only a matrix with an entry outside [0, p), and
+    # never writes to its input; entries p, -p and 2p + 1 are 0, 0 and 1 mod p
+    p = 101
+    fixed = [
+        np.array([[p, 1], [0, 1]]),  # p, and nothing negative
+        np.array([[-p, 1], [0, 2]]),  # -p, and nothing at p or above
+        np.array([[2 * p + 1, 2 * p, -1], [0, -p, 2 * p + 1], [-2 * p - 1, 1, p - 1]]),
+    ]
+    rng = np.random.default_rng(29)
+    lifted = []
+    for _ in range(200):
+        m, n = (int(x) for x in rng.integers(1, 7, size=2))
+        a = rng.integers(0, 3, size=(m, n))
+        for i in np.flatnonzero(rng.random(m) < 0.4):  # singleton rows
+            a[i] = 0
+            a[i, rng.integers(0, n)] = rng.integers(1, 3)
+        lifted.append(a + p * rng.integers(-2, 3, size=(m, n)))
+    for a in fixed + lifted:
+        kept = a.copy()
+        for m in (a, a.T):
+            residues = np.array(m % p, dtype=np.int64)
+            expected = _eliminate(residues.copy(), p, m.shape[1])  # no pruning
+            assert _rank_profile(m, p) == _rank_profile(residues, p) == expected
+            assert rank_mod_p(m, p) == rank_mod_p(residues, p) == len(expected)
+            assert (residues == m % p).all()
+        assert (a == kept).all()
+    assert [_rank_profile(a, p) for a in fixed] == [[1], [1], [0, 1, 2]]
+
+
 def test_rank_edge_shapes():
     assert rank_mod_p(np.zeros((0, 5), dtype=np.int64), DEFAULT_PRIME) == 0
     assert rank_mod_p(np.zeros((4, 4), dtype=np.int64), DEFAULT_PRIME) == 0
