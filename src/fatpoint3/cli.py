@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from .cremona import (
@@ -20,7 +19,6 @@ from .literals import format_curve, format_system, parse_curve, parse_system
 from .oracle import (
     ALL_RANDOM,
     DEFAULT_CONFIG,
-    DEFAULT_PRIME,
     FUNDAMENTAL,
     OracleConfig,
     oracle_report,
@@ -41,10 +39,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _default_prime() -> int:
-    return int(os.environ.get("FATPOINT3_PRIME", DEFAULT_PRIME))
-
-
 def _seeds(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -53,16 +47,22 @@ def _seeds(text: str) -> tuple[int, ...]:
 
 
 def _config(args) -> OracleConfig:
-    return OracleConfig(
-        prime=args.prime if args.prime is not None else _default_prime(),
-        seeds=args.seeds,
-        point_mode=args.point_mode,
-    )
+    return OracleConfig(args.prime, args.seeds, args.point_mode)
 
 
 def _add_oracle_flags(parser) -> None:
-    parser.add_argument("--prime", type=int, default=None, help="field characteristic")
-    parser.add_argument("--seeds", type=_seeds, default=(1, 2, 3), help="comma-separated seeds")
+    parser.add_argument(
+        "--prime",
+        type=int,
+        default=DEFAULT_CONFIG.prime,
+        help="field characteristic (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--seeds",
+        type=_seeds,
+        default=DEFAULT_CONFIG.seeds,
+        help=f"comma-separated seeds (default: {','.join(map(str, DEFAULT_CONFIG.seeds))})",
+    )
     parser.add_argument(
         "--point-mode",
         choices=[ALL_RANDOM, FUNDAMENTAL],
@@ -117,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_dim(args) -> int:
     system = normalize(parse_system(args.system))
-    if system.degree < 0:
-        raise ValueError("degree must be non-negative")
     dim, trace = conjectured_dimension(system)
     expected = expected_dimension(system)
     special, excess = is_special(system)

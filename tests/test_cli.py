@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import fatpoint3
-from fatpoint3 import LinearSystem, normalize
+from fatpoint3 import DEFAULT_CONFIG, LinearSystem, normalize
 from fatpoint3.cli import main
 from fatpoint3.cremona import cremona_system
 from fatpoint3.literals import parse_system
@@ -42,6 +42,13 @@ def test_dim_trace(capsys):
         "->(i) 0 -1^4",
         "->(ii) 0",
     ]
+
+
+def test_dim_trace_of_an_empty_system(capsys):
+    code, out, _ = run(capsys, "dim", "3 4", "--trace")
+    assert code == 0
+    lines = out.splitlines()
+    assert "verdict: empty" in lines and lines[-1] == "  (empty)"
 
 
 def test_dim_point_free(capsys):
@@ -181,12 +188,45 @@ def test_oracle_refuses_more_points_than_the_field_has(capsys):
     assert code == 1 and "only 11 distinct points" in err
 
 
-def test_oracle_env_prime(capsys, monkeypatch):
-    monkeypatch.setenv("FATPOINT3_PRIME", "1000003")
-    code, out, _ = run(capsys, "oracle", "2 1^9", "--seeds", "1", "--json")
+def test_oracle_env_prime(capsys):
+    # a prime other than the default reaches the report
+    code, out, _ = run(capsys, "oracle", "2 1^9", "--prime", "1000003", "--seeds", "1", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["prime"] == 1000003 and payload["certified"] is True
+
+
+@pytest.mark.parametrize("command", ["oracle", "verify"])
+def test_help_shows_every_oracle_default(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    seeds = ",".join(map(str, DEFAULT_CONFIG.seeds))
+    assert f"field characteristic (default: {DEFAULT_CONFIG.prime})" in text
+    assert f"comma-separated seeds (default: {seeds})" in text
+    assert f"(default: {DEFAULT_CONFIG.point_mode})" in text
+    args = cli_module.build_parser().parse_args([command] + (["2 1^9"] if command == "oracle" else []))
+    assert cli_module._config(args) == DEFAULT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dim", "-1 2"], "non-negative degree"),
+        (["verify", "--homogeneous"], "--homogeneous requires --r"),
+        (["verify", "--seeds", "1,x"], "bad seed list '1,x'"),
+        (["transform", "7 4^6", "0", "1", "2", "3"], "1-based"),
+        (["transform", "--curve", "1 0 0 0 0 b 1 2 1", "2", "3", "4", "5"], "points 1 2 3 4"),
+    ],
+)
+def test_refused_input_exits_1_with_nothing_on_stdout(capsys, argv, message):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # the parser refuses a bad seed list
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and message in captured.err
 
 
 def test_transform_system(capsys):
@@ -268,6 +308,18 @@ def test_verify_homogeneous_window(capsys):
         if 2 * (d + 1) ** 2 < 9 * m * (m + 1)
     }
     assert specials == expected
+
+
+def test_verify_homogeneous_json(capsys):
+    code, out, _ = run(capsys, "verify", "--homogeneous", "--r", "9", "--mmax", "1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["r"] == 9 and payload["prime"] == DEFAULT_CONFIG.prime
+    assert [(row["d"], row["m"]) for row in payload["rows"]] == [(2, 1), (3, 1), (4, 1)]
+    for row in payload["rows"]:
+        assert row["verdict"] in ("empty", "special", "non_special", "procedure_required")
+        assert isinstance(row["h1"], int) and row["consistent"] is True
+        assert all(isinstance(line, str) for line in row["trace"])
 
 
 def test_usage_error_exit_code(capsys):

@@ -224,6 +224,11 @@ def test_render_trace_arrows():
     ]
 
 
+def test_render_trace_ends_an_empty_trace_with_a_mark():
+    trace = reduce_to_standard(LinearSystem(1, (2,)))
+    assert render_trace(trace).splitlines() == ["1 2", "  (empty)"]
+
+
 def test_has_fixed_plane():
     assert has_fixed_plane(parse_system("3 3^3"), 0, 1, 2)
     assert not has_fixed_plane(parse_system("6 6 2^4"), 0, 1, 2)

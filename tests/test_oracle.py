@@ -21,6 +21,7 @@ from fatpoint3 import (
     oracle_h1,
     oracle_report,
     quadric_pencil_system,
+    rank_mod_p,
     verify_grid,
     verify_homogeneous,
 )
@@ -84,6 +85,19 @@ def test_conditions_matrix_rejects_malformed_points():
 def test_conditions_matrix_rejects_small_prime():
     with pytest.raises(ValueError):
         conditions_matrix(parse_system("7 1"), [(1, 2, 3)], prime=7)
+
+
+# strong pseudoprimes to the bases 2, 3 (1373653 = 829 * 1657) and 2, 3, 5
+# (25326001 = 2251 * 11251) with no factor up to 37, so only a later
+# Miller-Rabin witness refuses them
+@pytest.mark.parametrize("n", [1373653, 25326001])
+def test_strong_pseudoprimes_are_refused(n):
+    with pytest.raises(ValueError, match="not a prime"):
+        OracleConfig(prime=n)
+    with pytest.raises(ValueError, match="not a prime"):
+        rank_mod_p(np.eye(2, dtype=np.int64), n)
+    with pytest.raises(ValueError, match="not a prime"):
+        conditions_matrix(parse_system("2 1"), [(1, 2, 3)], prime=n)
 
 
 def test_fundamental_points_live_outside_the_affine_chart():

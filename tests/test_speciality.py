@@ -138,6 +138,7 @@ def test_is_special_values():
     assert is_special(parse_system("10 6^5")) == (True, 10)
     assert is_special(parse_system("16 11 7^8")) == (True, 9)
     assert is_special(parse_system("2 1^4")) == (False, 0)
+    assert is_special(parse_system("3 4")) == (False, 0)  # empty
 
 
 def test_line_speciality_bound():
