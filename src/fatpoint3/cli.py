@@ -25,8 +25,8 @@ from .oracle import (
     verify_grid,
     verify_homogeneous,
 )
-from .speciality import conjectured_dimension, is_special
-from .systems import CurveClass, expected_dimension, normalize, virtual_dimension
+from .speciality import conjectured_dimension
+from .systems import CurveClass, dimension_excess, expected_dimension, normalize, virtual_dimension
 
 __all__ = ["main", "build_parser"]
 
@@ -119,8 +119,8 @@ def cmd_dim(args) -> int:
     system = normalize(parse_system(args.system))
     dim, trace = conjectured_dimension(system)
     expected = expected_dimension(system)
-    special, excess = is_special(system)
-    verdict = "empty" if dim < 0 else "special" if special else "non-special"
+    excess = dimension_excess(system, dim)
+    verdict = "empty" if dim < 0 else "special" if excess > 0 else "non-special"
     if args.json:
         payload = {
             "system": format_system(system),

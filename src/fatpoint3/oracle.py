@@ -43,7 +43,14 @@ from .speciality import (
     classify_homogeneous,
     conjectured_dimension,
 )
-from .systems import LinearSystem, check_point_count, expected_dimension, normalize
+from .systems import (
+    LinearSystem,
+    check_point_count,
+    dimension_excess,
+    expected_dimension,
+    normalize,
+    point_conditions,
+)
 
 __all__ = [
     "DEFAULT_PRIME",
@@ -214,14 +221,22 @@ def _eliminate(a: np.ndarray, p: int, panel: int) -> list[int]:
     panels of width ``panel``; ``a`` is overwritten.
 
     A panel is eliminated pivot by pivot in a contiguous copy, its row swaps
-    kept as a permutation of the live rows and its multipliers stashed in the
-    cleared pivot columns. Its k pivot rows are then dropped (a column rank
-    profile never needs U), and the other rows get one Schur update in place,
-    rest -= (L21 L11^-1) top, with L11 and L21 the multipliers of the pivot
-    rows and of the rest. Both products have inner dimension k, so a panel
-    narrower than the matrix is at most _BLOCK wide; one panel spanning every
-    column is plain Gaussian elimination.
+    kept as a permutation of the live rows. Each pivot updates the rows below
+    it across the whole copy and then takes their multipliers into its
+    cleared column, so the rows left hold L21 L11^-1 in the pivot columns.
+    The k pivot rows are then dropped (a column rank profile never needs U),
+    and the other rows get one Schur update in place, rest -= (L21 L11^-1) top,
+    of inner dimension k, so a panel narrower than the matrix is at most
+    _BLOCK wide; one panel spanning every column is plain Gaussian elimination.
     """
+    # Invariant: off the pivot columns, a live row i is start_i - x_i S, its
+    # panel-start row minus its entries x_i in the pivot columns times S, the
+    # panel-start pivot rows. Row r holds x_r, so subtracting f_i row r and
+    # writing f_i in column j gives start_i - (x_i - f_i x_r) S - f_i start_r.
+    # A non-pivot column left of j is zero from row r down, row r included,
+    # so the update leaves it zero. After the panel, row i is zero in the
+    # panel off its pivot columns, so x_i is its row of L21 L11^-1, and right
+    # of the panel start_i - x_i S is its Schur update.
     import numpy as np
     pivots: list[int] = []
     live = np.arange(len(a))  # rows not yet used as pivots
@@ -240,9 +255,8 @@ def _eliminate(a: np.ndarray, p: int, panel: int) -> list[int]:
                 blk[[r, pr]] = blk[[pr, r]]
                 live[[r, pr]] = live[[pr, r]]
             f = blk[r + 1 :, j] * pow(int(blk[r, j]), -1, p) % p  # one column: % is faster
-            below = blk[r + 1 :, j + 1 :]
-            below -= f[:, None] * blk[r, j + 1 :]
-            _reduce(below, p)
+            blk[r + 1 :] -= f[:, None] * blk[r]
+            _reduce(blk[r + 1 :], p)
             blk[r + 1 :, j] = f
             piv.append(j)
         k = len(piv)
@@ -250,12 +264,7 @@ def _eliminate(a: np.ndarray, p: int, panel: int) -> list[int]:
         top, live = live[:k], live[k:]
         c += width
         if k and len(live) and c < a.shape[1]:
-            l = blk[:, piv]
-            inv = np.eye(k, dtype=np.int64)  # L11^-1, by forward substitution
-            for s in range(k - 1):
-                inv[s + 1 :] -= l[s + 1 : k, s, None] * inv[s]
-                _reduce(inv[s + 1 :], p)
-            mult = _matmul_mod(l[k:], inv, p)
+            mult = blk[k:, piv]  # L21 L11^-1, by the invariant above
             u = a[top, c:]
             for i in range(0, len(live), _ROWS):
                 rows = live[i : i + _ROWS]
@@ -318,7 +327,7 @@ def _rank_profile(matrix: np.ndarray, prime: int) -> list[int]:
     rest_cols = np.flatnonzero(~pivot)
     rest = a[np.ix_(np.flatnonzero(~covered & (counts > 1)), rest_cols)]
     del a, nonzero  # free a reduced copy before eliminating what is left
-    # sqrt(4 cols) balances a panel's pivot loop and its trailing update (README)
+    # sqrt(2 cols) minimizes the cost model (README) but measured no better
     panel = min(_BLOCK, math.isqrt(4 * rest.shape[1]))
     pivot[rest_cols[_eliminate(rest, prime, panel)]] = True
     return np.flatnonzero(pivot).tolist()
@@ -383,7 +392,7 @@ _MAX_COLS = 20000
 def _point_rows(mult: int, degree: int) -> int:
     # derivatives of order > d of a degree-d form vanish identically, so a
     # multiplicity above d + 1 adds only zero rows and is clamped to d + 1
-    return math.comb(min(mult, degree + 1) + 2, 3)
+    return point_conditions(min(mult, degree + 1))
 
 
 def _checked_shape(system: LinearSystem) -> tuple[int, int]:
@@ -603,11 +612,6 @@ def _best_rank(ranks: list[int], system: LinearSystem) -> int:
     return max(ranks)
 
 
-def _dimension_and_h1(system: LinearSystem, rank: int) -> tuple[int, int]:
-    dim = math.comb(system.degree + 3, 3) - rank - 1
-    return dim, (dim - expected_dimension(normalize(system)) if dim >= 0 else 0)
-
-
 @dataclass(frozen=True)
 class OracleReport:
     """One oracle run. ``ranks`` holds every seed's rank, in seed order. A
@@ -640,7 +644,7 @@ def oracle_report(system: LinearSystem, config: OracleConfig = DEFAULT_CONFIG) -
     ranks = _seed_ranks(system, config)
     rank = _best_rank(ranks, system)
     n_rows, n_cols = _checked_shape(system)
-    dim, h1 = _dimension_and_h1(system, rank)
+    dim = n_cols - rank - 1
     return OracleReport(
         system,
         config.prime,
@@ -650,7 +654,7 @@ def oracle_report(system: LinearSystem, config: OracleConfig = DEFAULT_CONFIG) -
         n_cols,
         tuple(ranks),
         dim,
-        h1,
+        dimension_excess(system, dim),
         rank == min(n_rows, n_cols),
     )
 
@@ -779,7 +783,7 @@ def verify_homogeneous(
             verdict = classify_homogeneous(d, m, r)
             conjectured, trace = conjectured_dimension(system)
             ranks = _cell_ranks(system, config, (r,))[r]
-            h1 = _dimension_and_h1(system, _best_rank(ranks, system))[1]
+            h1 = dimension_excess(system, math.comb(d + 3, 3) - _best_rank(ranks, system) - 1)
             consistent = {
                 VERDICT_SPECIAL: h1 > 0,
                 VERDICT_NON_SPECIAL: h1 == 0,

@@ -12,7 +12,7 @@ from .systems import (
     LinearSystem,
     LineCycle,
     canonical_class,
-    expected_dimension,
+    dimension_excess,
     normalize,
     point_conditions,
     to_divisor,
@@ -132,11 +132,7 @@ def conjectured_dimension(system: LinearSystem) -> tuple[int, ReductionTrace]:
 def is_special(system: LinearSystem) -> tuple[bool, int]:
     """Whether the system's conjectured dimension strictly exceeds the
     expected one, together with the excess."""
-    norm = normalize(system)
-    dim, _ = conjectured_dimension(norm)
-    if dim < 0:
-        return False, 0
-    excess = dim - expected_dimension(norm)
+    excess = dimension_excess(system, conjectured_dimension(normalize(system))[0])
     return excess > 0, excess
 
 

@@ -15,6 +15,7 @@ __all__ = [
     "normalize",
     "virtual_dimension",
     "expected_dimension",
+    "dimension_excess",
     "intersect_curve",
     "triple_product",
     "canonical_class",
@@ -187,13 +188,19 @@ def normalize(system: LinearSystem) -> LinearSystem:
 def virtual_dimension(system: LinearSystem) -> int:
     """C(d+3, 3) - sum_i C(m_i+2, 3) - 1, with non-positive m_i contributing 0."""
     if system.degree < 0:
-        raise ValueError("virtual dimension requires non-negative degree")
+        raise ValueError("degree must be non-negative")
     conditions = sum(point_conditions(m) for m in system.mults)
     return math.comb(system.degree + 3, 3) - conditions - 1
 
 
 def expected_dimension(system: LinearSystem) -> int:
     return max(virtual_dimension(system), -1)
+
+
+def dimension_excess(system: LinearSystem, dim: int) -> int:
+    """How far a dimension ``dim`` of the system exceeds the expected one;
+    an empty system (dim < 0) has no excess."""
+    return dim - expected_dimension(system) if dim >= 0 else 0
 
 
 def intersect_curve(system: LinearSystem, curve: CurveClass) -> int:

@@ -14,6 +14,7 @@ from fatpoint3.cli import main
 from fatpoint3.cremona import cremona_system
 from fatpoint3.literals import parse_system
 import fatpoint3.cli as cli_module
+import fatpoint3.speciality as speciality_module
 
 
 def run(capsys, *argv):
@@ -49,6 +50,20 @@ def test_dim_trace_of_an_empty_system(capsys):
     assert code == 0
     lines = out.splitlines()
     assert "verdict: empty" in lines and lines[-1] == "  (empty)"
+
+
+@pytest.mark.parametrize("argv", [["12 7^6"], ["10 6^5", "--json"], ["3 4", "--trace"]])
+def test_dim_runs_the_procedure_once(capsys, monkeypatch, argv):
+    runs = []
+    reduce_to_standard = speciality_module.reduce_to_standard
+
+    def counted(system):
+        runs.append(system)
+        return reduce_to_standard(system)
+
+    monkeypatch.setattr(speciality_module, "reduce_to_standard", counted)
+    code, _, _ = run(capsys, "dim", *argv)
+    assert code == 0 and len(runs) == 1
 
 
 def test_dim_point_free(capsys):
@@ -213,7 +228,7 @@ def test_help_shows_every_oracle_default(capsys, command):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["dim", "-1 2"], "non-negative degree"),
+        (["dim", "-1 2"], "degree must be non-negative"),
         (["verify", "--homogeneous"], "--homogeneous requires --r"),
         (["verify", "--seeds", "1,x"], "bad seed list '1,x'"),
         (["transform", "7 4^6", "0", "1", "2", "3"], "1-based"),

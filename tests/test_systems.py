@@ -8,6 +8,7 @@ from fatpoint3 import (
     LinearSystem,
     LineCycle,
     canonical_class,
+    dimension_excess,
     expected_dimension,
     intersect_curve,
     normalize,
@@ -49,8 +50,9 @@ def test_virtual_dimension_ignores_nonpositive_mults():
 
 
 def test_virtual_dimension_rejects_negative_degree():
-    with pytest.raises(ValueError):
-        virtual_dimension(LinearSystem(-1, (1,)))
+    for system in (LinearSystem(-1, (1,)), LinearSystem(-1)):
+        with pytest.raises(ValueError, match="degree must be non-negative"):
+            virtual_dimension(system)
 
 
 def test_virtual_dimension_simple_points():
@@ -64,6 +66,14 @@ def test_virtual_dimension_simple_points():
 )
 def test_expected_dimension(literal, expected):
     assert expected_dimension(parse_system(literal)) == expected
+
+
+def test_dimension_excess():
+    # L(10; 6^5) is expected to have dimension 5 and has 15; a dimension of -1
+    # (empty) has no excess, not -6, and L(12; 7^6), expected empty, has 1 at 0
+    system = parse_system("10 6^5")
+    assert [dimension_excess(system, dim) for dim in (15, 5, -1)] == [10, 0, 0]
+    assert dimension_excess(parse_system("12 7^6"), 0) == 1
 
 
 def test_intersect_curve_reference_values():
