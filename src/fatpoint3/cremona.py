@@ -157,12 +157,9 @@ def cremona_with_lines(
 def is_standard_form(system: LinearSystem) -> bool:
     """True when no four-point transform can lower the degree: d >= 0, all
     multiplicities >= 0, and 2d >= the sum of the four largest."""
-    if system.degree < 0:
+    if system.degree < 0 or min(system.mults, default=0) < 0:
         return False
-    if any(m < 0 for m in system.mults):
-        return False
-    top = sorted(system.mults, reverse=True)[:4]
-    return 2 * system.degree >= sum(top)
+    return 2 * system.degree >= sum(sorted(system.mults, reverse=True)[:4])
 
 
 def reduce_to_standard(system: LinearSystem) -> ReductionTrace:
@@ -179,12 +176,15 @@ def reduce_to_standard(system: LinearSystem) -> ReductionTrace:
     while True:
         if current.degree < 0:
             return ReductionTrace(tuple(steps), current, empty=True)
-        while any(m < 0 for m in current.mults):
-            i = next(pos for pos, m in enumerate(current.mults) if m < 0)
-            alpha = -current.mults[i]
-            stripped = current.mults[:i] + (0,) + current.mults[i + 1 :]
-            after = normalize(LinearSystem(current.degree, stripped))
-            steps.append(ReductionStep(REMOVE_COMPONENT, (i,), current, after, alpha=alpha))
+        # current is normalized: its negatives form the tail, the first of
+        # them is stripped, and what is left stays sorted
+        while current.mults and current.mults[-1] < 0:
+            mults = current.mults
+            i = len(mults) - 1
+            while i and mults[i - 1] < 0:
+                i -= 1
+            after = LinearSystem(current.degree, mults[:i] + mults[i + 1 :])
+            steps.append(ReductionStep(REMOVE_COMPONENT, (i,), current, after, alpha=-mults[i]))
             current = after
         if current.mults and current.mults[0] > current.degree:
             return ReductionTrace(tuple(steps), current, empty=True)

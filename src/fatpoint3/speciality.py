@@ -8,15 +8,11 @@ from typing import NamedTuple
 
 from .cremona import REMOVE_QUADRIC, ReductionStep, ReductionTrace, reduce_to_standard
 from .systems import (
-    DivisorClass,
     LinearSystem,
     LineCycle,
-    canonical_class,
     dimension_excess,
     normalize,
     point_conditions,
-    to_divisor,
-    triple_product,
     virtual_dimension,
 )
 
@@ -74,12 +70,15 @@ def speciality_correction(system: LinearSystem) -> int:
 def quadric_triple(system: LinearSystem) -> int:
     """The quadric test number Q(L-Q)(L-K), with Q through the nine points of
     largest multiplicity. Requires a normalized system with at least 9 points."""
-    r = system.npoints
-    if r < 9:
+    if system.npoints < 9:
         raise ValueError("quadric test needs at least nine points")
-    q = DivisorClass(2, (1,) * 9 + (0,) * (r - 9))
-    ell = to_divisor(system)
-    return triple_product(q, ell - q, ell - canonical_class(r))
+    # triple_product(Q, L-Q, L-K) in closed form: with Q = (2; 1^9, 0, ...)
+    # and K = (-4; (-2)^r), L-Q = (d-2; m_i-1 for the nine, m_i after) and
+    # L-K = (d+4; m_i+2). The point terms b1i*b2i*b3i vanish where Q's
+    # coefficient is 0, so only the first nine points enter, each with
+    # 1*(m_i-1)*(m_i+2), against 2*(d-2)*(d+4) from H.
+    d = system.degree
+    return 2 * (d - 2) * (d + 4) - sum((m - 1) * (m + 2) for m in system.mults[:9])
 
 
 def remove_quadrics(
@@ -140,6 +139,10 @@ def line_speciality_bound(system: LinearSystem, pair: tuple[int, int]) -> int:
     """Guaranteed dimension excess C(t+1, 3) contributed by the line through
     the two points, defined when its excess t = m_i + m_j - d is at least 2."""
     i, j = pair
+    if i == j or min(i, j) < 0:
+        raise ValueError("need two distinct non-negative point indices")
+    if max(i, j) >= system.npoints:
+        raise ValueError(f"point index {max(i, j)} out of range for {system.npoints} points")
     t = system.mults[i] + system.mults[j] - system.degree
     if t < 2:
         raise ValueError("line excess below 2 guarantees no contribution")
@@ -150,17 +153,14 @@ def classify_homogeneous(degree: int, mult: int, npoints: int) -> str:
     """Speciality verdict for the homogeneous system L(d, m^r).
 
     Systems with d >= 2m are in standard form: special exactly for r = 9 with
-    a negative quadric test (equivalently 2(d+1)^2 < 9m(m+1)). For d <= 2m-1
-    the system is empty once r >= 8, and needs the full procedure otherwise.
+    a negative quadric test, 2(d-2)(d+4) - 9(m-1)(m+2) = 2(d+1)^2 - 9m(m+1).
+    For d <= 2m-1 the system is empty once r >= 8, and needs the full
+    procedure otherwise.
     """
     if degree < 0 or mult < 0 or npoints < 1:
         raise ValueError("need d >= 0, m >= 0 and at least one point")
     if degree >= 2 * mult:
-        if (
-            npoints == 9
-            and mult >= 1
-            and quadric_triple(LinearSystem(degree, (mult,) * 9)) < 0
-        ):
+        if npoints == 9 and 2 * (degree + 1) ** 2 < 9 * mult * (mult + 1):
             return VERDICT_SPECIAL
         return VERDICT_NON_SPECIAL
     if npoints >= 8:

@@ -8,10 +8,13 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from fatpoint3 import (
+    VERDICT_SPECIAL,
     CurveClass,
+    DivisorClass,
     LinearSystem,
     LineCycle,
     canonical_class,
+    classify_homogeneous,
     conditions_matrix,
     conjectured_dimension,
     cremona_curve,
@@ -251,6 +254,26 @@ def test_quadric_sign_matches_homogeneous_closed_form(degree, mult):
     system = LinearSystem(degree, (mult,) * 9)
     closed_form = 2 * (degree - 2) * (degree + 4) - 9 * (mult - 1) * (mult + 2)
     assert quadric_triple(system) == closed_form
+
+
+@given(st.integers(-3, 40), st.lists(st.integers(-5, 30), min_size=9, max_size=40))
+def test_quadric_triple_is_the_divisor_triple_product(degree, mults):
+    # ragged, unsorted, zero and negative multiplicities: the closed form
+    # agrees with Q(L-Q)(L-K) built in the divisor algebra, Q on the first nine
+    system = LinearSystem(degree, tuple(mults))
+    r = system.npoints
+    q = DivisorClass(2, (1,) * 9 + (0,) * (r - 9))
+    ell = to_divisor(system)
+    assert quadric_triple(system) == triple_product(q, ell - q, ell - canonical_class(r))
+
+
+def test_classify_homogeneous_special_exactly_on_the_sign_test():
+    # every cell of the box; below d = 2m, L(d; m^9) is empty instead
+    for degree in range(61):
+        for mult in range(1, 31):
+            special = classify_homogeneous(degree, mult, 9) == VERDICT_SPECIAL
+            sign = 2 * (degree + 1) ** 2 < 9 * mult * (mult + 1)
+            assert special == (degree >= 2 * mult and sign), (degree, mult)
 
 
 @given(honest_systems())

@@ -148,6 +148,22 @@ def test_line_speciality_bound():
         line_speciality_bound(parse_system("6 6 2^4"), (1, 2))
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ((0, 0), "distinct non-negative"),
+        ((-3, 1), "distinct non-negative"),
+        ((1, -1), "distinct non-negative"),
+        ((0, 3), "out of range"),
+        ((5, 1), "out of range"),
+    ],
+)
+def test_line_speciality_bound_validates_its_pair(pair, message):
+    # (-3, 1) would wrap to the pair (0, 1), whose excess is 2
+    with pytest.raises(ValueError, match=message):
+        line_speciality_bound(parse_system("4 3 3 1"), pair)
+
+
 def test_line_bound_overshoots_on_non_standard_input():
     # three concurrent triple lines each promise 4, but the true excess is 11:
     # the bound is only honest after reduction to standard form
