@@ -137,6 +137,8 @@ class OracleConfig:
         _check_prime(self.prime)
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("seeds must be distinct")
         if self.point_mode not in (ALL_RANDOM, FUNDAMENTAL):
             raise ValueError(f"unknown point mode {self.point_mode!r}")
 
@@ -551,11 +553,34 @@ def _sample_points(npoints: int, seed: int, prime: int, mode: str):
     return pts
 
 
-def _cell_ranks(
+@dataclass(frozen=True)
+class OracleReport:
+    """One oracle run. ``ranks`` holds the rank of each seed that ran, in seed
+    order. A best rank of ``min(n_rows, n_cols)`` is ``certified``: no sample
+    can exceed it. Any other is a high-probability answer."""
+
+    system: LinearSystem
+    prime: int
+    seeds: tuple[int, ...]
+    point_mode: str
+    n_rows: int
+    n_cols: int
+    ranks: tuple[int, ...]
+    dimension: int
+    h1: int
+    certified: bool
+
+    @property
+    def seeds_agree(self) -> bool:
+        return len(set(self.ranks)) == 1
+
+
+def _cell_reports(
     system: LinearSystem, config: OracleConfig, cells, *, stop_certified: bool = True
-) -> dict[int, list[int]]:
-    """Ranks of the prefix systems L(d; m_1, ..., m_k) for each k in ``cells``,
-    one list per cell holding the rank of every seed that ran on it.
+) -> dict[int, OracleReport]:
+    """Reports of the prefix systems L(d; m_1, ..., m_k) for each k in
+    ``cells``: the one place where seed ranks become a dimension, an h1 and a
+    certificate, for lone systems, grid cells and window cells alike.
 
     Sampling is prefix-stable, so the first k of a seed's points are the
     points a lone k-point call would sample, and one elimination of the
@@ -563,14 +588,14 @@ def _cell_ranks(
     of A independent of the rows before it. A cell is certified once its best
     rank reaches min(rows, cols), which no other seed can exceed; with
     ``stop_certified``, later seeds run only up to the largest uncertified
-    cell, and stop when none is left. Without it every seed runs on every cell.
+    cell, and stop when none is left. Without it every seed runs on every
+    cell. Seeds that disagree on a cell warn, and the best rank is taken.
     """
     degree, prime = system.degree, config.prime
     n_cols = _checked_shape(system)[1]
-    offsets = [0]
-    for m in system.mults:
-        offsets.append(offsets[-1] + _point_rows(m, degree))
-    ranks: dict[int, list[int]] = {k: [] for k in cells}
+    offsets = list(itertools.accumulate((_point_rows(m, degree) for m in system.mults), initial=0))
+    full = {k: min(offsets[k], n_cols) for k in cells}  # the certifying rank
+    ranks: dict[int, list[int]] = {k: [] for k in full}
     open_cells = sorted(ranks)
     for seed in config.seeds:
         if not open_cells:
@@ -589,49 +614,34 @@ def _cell_ranks(
         for k, rank in zip(open_cells, got):
             ranks[k].append(rank)
         if stop_certified:
-            open_cells = [k for k in open_cells if max(ranks[k]) < min(offsets[k], n_cols)]
-    return ranks
-
-
-def _seed_ranks(system: LinearSystem, config: OracleConfig) -> list[int]:
-    """Rank of the system's conditions matrix for every seed."""
-    # every seed runs, even after a certificate, because
-    # bench/test_bench.py::test_oracle_split_accounts_for_the_oracle_call expects
-    # two eliminations from a certified lone system; ROADMAP item 1 changes it
-    return _cell_ranks(system, config, (system.npoints,), stop_certified=False)[system.npoints]
-
-
-def _best_rank(ranks: list[int], system: LinearSystem) -> int:
-    if len(set(ranks)) > 1:
-        warnings.warn(
-            f"ranks {ranks} disagree across seeds for degree {system.degree}, "
-            f"mults {system.mults}; using the maximum",
-            SeedDisagreement,
-            stacklevel=3,
+            open_cells = [k for k in open_cells if max(ranks[k]) < full[k]]
+    reports = {}
+    for k, seed_ranks in ranks.items():
+        prefix = LinearSystem(degree, system.mults[:k])
+        if len(set(seed_ranks)) > 1:
+            warnings.warn(
+                f"ranks {seed_ranks} disagree across seeds for degree {degree}, "
+                f"mults {prefix.mults}; using the maximum", SeedDisagreement,
+                stacklevel=3 if stop_certified else 4,  # past _seed_ranks to its caller
+            )
+        best = max(seed_ranks)
+        dimension = n_cols - best - 1
+        reports[k] = OracleReport(
+            prefix, prime, config.seeds[: len(seed_ranks)], config.point_mode,
+            offsets[k], n_cols, tuple(seed_ranks),
+            dimension, dimension_excess(prefix, dimension), best == full[k],
         )
-    return max(ranks)
+    return reports
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    """One oracle run. ``ranks`` holds every seed's rank, in seed order. A
-    best rank of ``min(n_rows, n_cols)`` is ``certified``: no sample can
-    exceed it. Any other is a high-probability answer."""
-
-    system: LinearSystem
-    prime: int
-    seeds: tuple[int, ...]
-    point_mode: str
-    n_rows: int
-    n_cols: int
-    ranks: tuple[int, ...]
-    dimension: int
-    h1: int
-    certified: bool
-
-    @property
-    def seeds_agree(self) -> bool:
-        return len(set(self.ranks)) == 1
+def _seed_ranks(system: LinearSystem, config: OracleConfig) -> OracleReport:
+    """The lone system's report, with the rank of every seed."""
+    # every seed runs, even after a certificate, as
+    # bench/test_bench.py::test_oracle_split_accounts_for_the_oracle_call expects
+    # two eliminations from a certified lone system; the name stays, as
+    # test_traced_run_checks_answers_not_the_oracle_split replaces it by name.
+    # ROADMAP item 1 changes both tests.
+    return _cell_reports(system, config, (system.npoints,), stop_certified=False)[system.npoints]
 
 
 def oracle_report(system: LinearSystem, config: OracleConfig = DEFAULT_CONFIG) -> OracleReport:
@@ -641,22 +651,7 @@ def oracle_report(system: LinearSystem, config: OracleConfig = DEFAULT_CONFIG) -
     keep their meaning in fundamental point mode. A warning is attached when
     ranks disagree across seeds.
     """
-    ranks = _seed_ranks(system, config)
-    rank = _best_rank(ranks, system)
-    n_rows, n_cols = _checked_shape(system)
-    dim = n_cols - rank - 1
-    return OracleReport(
-        system,
-        config.prime,
-        config.seeds,
-        config.point_mode,
-        n_rows,
-        n_cols,
-        tuple(ranks),
-        dim,
-        dimension_excess(system, dim),
-        rank == min(n_rows, n_cols),
-    )
+    return _seed_ranks(system, config)
 
 
 def oracle_dimension(system: LinearSystem, config: OracleConfig = DEFAULT_CONFIG) -> int:
@@ -733,21 +728,19 @@ def verify_grid(
 ) -> GridReport:
     """Compare the reduction procedure against the rank oracle on every
     homogeneous system in the box d <= d_max, 1 <= m <= m_max, 1 <= r <= r_max."""
-    # the largest matrix of the grid, checked before any work (m_max < 1 is an
-    # empty grid, whose matrices have no rows)
+    if m_max < 1 or r_max < 1:
+        raise ValueError("a verify box needs m_max >= 1 and r_max >= 1")
+    # the largest matrix of the grid, checked before any work
     check_point_count(r_max)
-    _checked_shape(LinearSystem(d_max, (max(m_max, 0),) * r_max))
+    _checked_shape(LinearSystem(d_max, (m_max,) * r_max))
     rows = []
     for d in range(d_max + 1):
-        n_cols = math.comb(d + 3, 3)
         for m in range(1, m_max + 1):
             # one elimination per seed gives every r <= r_max
-            ranks = _cell_ranks(LinearSystem(d, (m,) * r_max), config, range(1, r_max + 1))
-            for r in range(1, r_max + 1):
-                system = LinearSystem(d, (m,) * r)
-                conjectured = conjectured_dimension(system)[0]
-                measured = n_cols - _best_rank(ranks[r], system) - 1
-                rows.append(GridRow(d, m, r, conjectured, measured))
+            reports = _cell_reports(LinearSystem(d, (m,) * r_max), config, range(1, r_max + 1))
+            for r, report in reports.items():
+                conjectured = conjectured_dimension(report.system)[0]
+                rows.append(GridRow(d, m, r, conjectured, report.dimension))
     return GridReport(d_max, m_max, r_max, config.prime, config.seeds, tuple(rows))
 
 
@@ -775,6 +768,8 @@ def verify_homogeneous(
     needs h1 > 0, a non-special one h1 = 0 and an empty one a conjectured
     dimension of -1; a verdict that defers to the procedure is not checked.
     A seed after one that certifies the cell's rank does not run."""
+    if m_max < 1:
+        raise ValueError("a verify window needs m_max >= 1")
     check_point_count(r)
     rows = []
     for m in range(1, m_max + 1):
@@ -782,8 +777,7 @@ def verify_homogeneous(
             system = LinearSystem(d, (m,) * r)  # already normalized, as m >= 1
             verdict = classify_homogeneous(d, m, r)
             conjectured, trace = conjectured_dimension(system)
-            ranks = _cell_ranks(system, config, (r,))[r]
-            h1 = dimension_excess(system, math.comb(d + 3, 3) - _best_rank(ranks, system) - 1)
+            h1 = _cell_reports(system, config, (r,))[r].h1
             consistent = {
                 VERDICT_SPECIAL: h1 > 0,
                 VERDICT_NON_SPECIAL: h1 == 0,

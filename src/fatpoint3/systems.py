@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable
@@ -58,7 +59,9 @@ class LinearSystem:
     mults: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mults", tuple(map(int, self.mults)))
+        # operator.index, not int: a float or a string is refused, not truncated
+        object.__setattr__(self, "degree", operator.index(self.degree))
+        object.__setattr__(self, "mults", tuple(map(operator.index, self.mults)))
 
     @property
     def npoints(self) -> int:
@@ -79,7 +82,8 @@ class CurveClass:
     incidences: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
+        object.__setattr__(self, "degree", operator.index(self.degree))
+        object.__setattr__(self, "mults", tuple(map(operator.index, self.mults)))
         kept = []
         seen = set()
         for i, j, count in self.incidences:
@@ -88,8 +92,9 @@ class CurveClass:
             if (i, j) in seen:
                 raise ValueError(f"duplicate incidence pair ({i}, {j})")
             seen.add((i, j))
+            count = operator.index(count)
             if count:
-                kept.append((i, j, int(count)))
+                kept.append((i, j, count))
         object.__setattr__(self, "incidences", tuple(sorted(kept)))
 
     @property

@@ -233,6 +233,9 @@ def test_help_shows_every_oracle_default(capsys, command):
         (["verify", "--seeds", "1,x"], "bad seed list '1,x'"),
         (["transform", "7 4^6", "0", "1", "2", "3"], "1-based"),
         (["transform", "--curve", "1 0 0 0 0 b 1 2 1", "2", "3", "4", "5"], "points 1 2 3 4"),
+        (["oracle", "3 1^4", "--seeds", "1,1"], "seeds must be distinct"),
+        (["verify", "--rmax", "-3"], "needs m_max >= 1 and r_max >= 1"),
+        (["verify", "--homogeneous", "--r", "9", "--mmax", "0"], "needs m_max >= 1"),
     ],
 )
 def test_refused_input_exits_1_with_nothing_on_stdout(capsys, argv, message):

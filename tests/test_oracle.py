@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -250,6 +251,26 @@ def test_verify_grid_warns_on_seed_disagreement(monkeypatch):
     assert report.mismatches == ()
 
 
+def test_seed_disagreement_names_the_callers_line(monkeypatch):
+    # seed 1 puts the points on a line, which fails planes and, from four
+    # points on, quadrics
+    def fake_sample(npoints, seed, prime, mode):
+        if seed == 1:
+            return [(1, t, t, t) for t in range(1, 5)][:npoints]
+        return [(1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, 2, 3, 5)][:npoints]
+
+    monkeypatch.setattr(oracle_module, "_sample_points", fake_sample)
+    config = OracleConfig(seeds=(1, 2))
+    for run in (
+        lambda: oracle_report(LinearSystem(1, (1, 1, 1)), config),
+        lambda: verify_grid(1, 1, 3, config),
+        lambda: verify_homogeneous(4, 1, config),
+    ):
+        with pytest.warns(SeedDisagreement) as record:
+            run()
+        assert {w.filename for w in record} == {__file__}
+
+
 def test_certified_first_seed_stops_the_seed_loop(monkeypatch):
     calls = []
     profile = oracle_module._rank_profile
@@ -266,8 +287,9 @@ def test_certified_first_seed_stops_the_seed_loop(monkeypatch):
     # of L(4; 2^r), r <= 10, only r = 9 is special (rank 34 of 35 columns),
     # so seeds 2 and 3 eliminate just its 36 x 35 matrix
     calls.clear()
-    ranks = oracle_module._cell_ranks(LinearSystem(4, (2,) * 10), three, range(1, 11))
+    reports = oracle_module._cell_reports(LinearSystem(4, (2,) * 10), three, range(1, 11))
     assert calls == [(35, 40), (36, 35), (36, 35)]
+    ranks = {r: list(rep.ranks) for r, rep in reports.items()}
     assert ranks == {**{r: [4 * r] for r in range(1, 9)}, 9: [34, 34, 34], 10: [35]}
     # a lone system runs every seed, certified or not, and reports each rank
     calls.clear()
@@ -499,3 +521,53 @@ def test_oracle_config_validation():
         OracleConfig(seeds=())
     with pytest.raises(ValueError):
         OracleConfig(point_mode="grid")
+    with pytest.raises(ValueError, match="seeds must be distinct"):
+        OracleConfig(seeds=(1, 2, 1))
+
+
+def test_an_empty_verify_box_is_refused_before_any_elimination(monkeypatch):
+    def no_elimination(*args):
+        raise AssertionError("a matrix was eliminated")
+
+    monkeypatch.setattr(oracle_module, "_rank_profile", no_elimination)
+    for m_max, r_max in ((0, 10), (4, 0), (-1, -3)):
+        with pytest.raises(ValueError, match="needs m_max >= 1 and r_max >= 1"):
+            verify_grid(10, m_max, r_max, FAST)
+    with pytest.raises(ValueError, match="needs m_max >= 1"):
+        verify_homogeneous(9, 0, FAST)
+
+
+@pytest.mark.parametrize("mode", [ALL_RANDOM, FUNDAMENTAL])
+def test_prefix_reports_equal_lone_reports(mode):
+    # one rule, two elimination paths: a cell of the transposed prefix
+    # elimination reports what a lone run with the seeds that reached it does
+    config = OracleConfig(seeds=(1, 2, 3), point_mode=mode)
+    cells = 0
+    for d in range(7):
+        for m in range(1, 4):
+            reports = oracle_module._cell_reports(LinearSystem(d, (m,) * 9), config, range(1, 10))
+            for r, rep in reports.items():
+                assert rep.system == LinearSystem(d, (m,) * r)
+                assert len(rep.seeds) == len(rep.ranks) and rep.seeds == config.seeds[: len(rep.seeds)]
+                assert rep == oracle_report(rep.system, dataclasses.replace(config, seeds=rep.seeds))
+                cells += 1
+    assert cells == 189
+
+
+def test_the_oracle_answers_without_the_procedure(monkeypatch):
+    import fatpoint3.speciality as speciality_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle consulted the procedure")
+
+    for module in (speciality_module, oracle_module):
+        monkeypatch.setattr(module, "conjectured_dimension", refuse)
+        monkeypatch.setattr(module, "classify_homogeneous", refuse)
+    report = oracle_report(parse_system("4 2^9"), FAST)
+    assert (report.dimension, report.h1, report.certified) == (0, 1, False)
+    reports = oracle_module._cell_reports(LinearSystem(4, (2,) * 10), FAST, (8, 9, 10))
+    assert [(rep.dimension, rep.h1, rep.certified) for rep in reports.values()] == [
+        (2, 0, True),
+        (0, 1, False),
+        (-1, 0, True),
+    ]

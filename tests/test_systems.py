@@ -152,6 +152,34 @@ def test_curve_class_incidence_validation():
     assert CurveClass(1, (), ((0, 1, 0),)).incidences == ()
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LinearSystem(4, (2.9, 3)),
+        lambda: LinearSystem(4, ("3",)),
+        lambda: LinearSystem(4.0, (2,)),
+        lambda: CurveClass(1.5, (1,)),
+        lambda: CurveClass(1, (1.0,)),
+        lambda: CurveClass(1, (), ((0, 1, 0.5),)),
+        lambda: CurveClass(1, (), ((0, 1, 0.0),)),
+    ],
+)
+def test_non_integers_are_refused_not_truncated(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_integer_like_values_are_kept_as_ints():
+    import numpy as np
+
+    system = LinearSystem(np.int64(4), (np.int64(2), 3))
+    assert system == LinearSystem(4, (2, 3))
+    assert all(type(v) is int for v in (system.degree, *system.mults))
+    curve = CurveClass(np.int32(1), (np.int8(1),), ((0, 1, np.int64(2)),))
+    assert curve == CurveClass(1, (1,), ((0, 1, 2),))
+    assert type(curve.incidences[0][2]) is int
+
+
 def test_line_cycle_container():
     cycle = LineCycle.from_dict({(1, 0): 2, (2, 3): -1, (0, 2): 0})
     assert cycle.weight(0, 1) == 2
