@@ -10,9 +10,11 @@ no generality (four general points of P^3 are projectively equivalent to them)
 and makes their conditions scaled unit rows, which assembly writes directly
 and the rank engine takes out before eliminating. The dimension is the
 column count minus the best rank across seeds, minus one. A rank equal to
-min(rows, cols) cannot be exceeded by any sample, so it certifies the answer: a
-grid check runs no further seed on a certified cell, while a lone system runs
-every seed, so its report shows whether the seeds agree.
+min(rows, cols) cannot be exceeded by any sample, so it certifies the answer,
+and no sampled dimension falls below the generic one, so a dimension equal to
+the proved ``dimension_lower_bound`` is exact too: a grid or window check runs
+no further seed on such a cell, while a lone system runs every seed, so its
+report shows whether the seeds agree.
 
 numpy is imported inside the functions that compute with it, not with this
 module, so importing the package and running the procedure (``dim``,
@@ -42,6 +44,7 @@ from .speciality import (
     VERDICT_SPECIAL,
     classify_homogeneous,
     conjectured_dimension,
+    dimension_lower_bound,
 )
 from .systems import (
     LinearSystem,
@@ -557,7 +560,9 @@ def _sample_points(npoints: int, seed: int, prime: int, mode: str):
 class OracleReport:
     """One oracle run. ``ranks`` holds the rank of each seed that ran, in seed
     order. A best rank of ``min(n_rows, n_cols)`` is ``certified``: no sample
-    can exceed it. Any other is a high-probability answer."""
+    can exceed it. Any other is a high-probability answer. A grid or window
+    cell whose dimension meets ``dimension_lower_bound`` is exact as well and
+    runs fewer seeds, but ``certified`` still means full rank only."""
 
     system: LinearSystem
     prime: int
@@ -576,7 +581,8 @@ class OracleReport:
 
 
 def _cell_reports(
-    system: LinearSystem, config: OracleConfig, cells, *, stop_certified: bool = True
+    system: LinearSystem, config: OracleConfig, cells, *, stop_certified: bool = True,
+    assemble=None,
 ) -> dict[int, OracleReport]:
     """Reports of the prefix systems L(d; m_1, ..., m_k) for each k in
     ``cells``: the one place where seed ranks become a dimension, an h1 and a
@@ -585,36 +591,62 @@ def _cell_reports(
     Sampling is prefix-stable, so the first k of a seed's points are the
     points a lone k-point call would sample, and one elimination of the
     transposed matrix gives every prefix rank: a pivot column of A^T is a row
-    of A independent of the rows before it. A cell is certified once its best
-    rank reaches min(rows, cols), which no other seed can exceed; with
-    ``stop_certified``, later seeds run only up to the largest uncertified
-    cell, and stop when none is left. Without it every seed runs on every
-    cell. Seeds that disagree on a cell warn, and the best rank is taken.
+    of A independent of the rows before it. ``assemble(seed, k)``, if given,
+    returns the conditions matrix of the k-point prefix at those points, in
+    place of sampling and assembling it here.
+
+    A cell is certified once its best rank reaches min(rows, cols), which no
+    other seed can exceed. With ``stop_certified``, a cell also closes once
+    its dimension reaches ``dimension_lower_bound``: a sampled dimension never
+    falls below the generic one, so no other seed can lower it further (one
+    below the bound is a fault, and raises). Later seeds then run only up to
+    the largest open cell, and stop when none is left. Without it every seed
+    runs on every cell. Seeds that disagree on a cell warn, and the best rank
+    is taken.
     """
     degree, prime = system.degree, config.prime
     n_cols = _checked_shape(system)[1]
     offsets = list(itertools.accumulate((_point_rows(m, degree) for m in system.mults), initial=0))
     full = {k: min(offsets[k], n_cols) for k in cells}  # the certifying rank
     ranks: dict[int, list[int]] = {k: [] for k in full}
+    bounds: dict[int, int] = {}  # computed once, for a cell open after a seed
+
+    def still_open(k: int) -> bool:
+        best = max(ranks[k])
+        if best == full[k]:
+            return False
+        if k not in bounds:
+            bounds[k] = dimension_lower_bound(LinearSystem(degree, system.mults[:k]))
+        dimension = n_cols - best - 1
+        if dimension < bounds[k]:
+            raise RuntimeError(
+                f"oracle dimension {dimension} of degree {degree}, mults {system.mults[:k]} "
+                f"lies below the proved lower bound {bounds[k]}: one of the two routes is at fault"
+            )
+        return dimension > bounds[k]
+
+    if assemble is None:
+        def assemble(seed: int, k: int) -> np.ndarray:
+            points = _sample_points(k, seed, prime, config.point_mode)
+            return conditions_matrix(LinearSystem(degree, system.mults[:k]), points, prime).entries
+
     open_cells = sorted(ranks)
     for seed in config.seeds:
         if not open_cells:
             break
-        r = open_cells[-1]
-        points = _sample_points(r, seed, prime, config.point_mode)
-        matrix = conditions_matrix(LinearSystem(degree, system.mults[:r]), points, prime)
+        entries = assemble(seed, open_cells[-1])
         # one open cell takes the whole matrix's rank through rank_mod_p, where
         # bench/test_bench.py::test_traced_run_checks_answers_not_the_oracle_split
         # counts lone eliminations; ROADMAP item 1 changes that test
         if len(open_cells) == 1:
-            got = [matrix.rank()]
+            got = [rank_mod_p(entries, prime)]
         else:
-            pivots = _rank_profile(matrix.entries.T, prime)
+            pivots = _rank_profile(entries.T, prime)
             got = [bisect.bisect_left(pivots, offsets[k]) for k in open_cells]
         for k, rank in zip(open_cells, got):
             ranks[k].append(rank)
         if stop_certified:
-            open_cells = [k for k in open_cells if max(ranks[k]) < full[k]]
+            open_cells = [k for k in open_cells if still_open(k)]
     reports = {}
     for k, seed_ranks in ranks.items():
         prefix = LinearSystem(degree, system.mults[:k])
@@ -723,6 +755,28 @@ class GridReport:
         }
 
 
+def _degree_blocks(degree: int, m_max: int, r_max: int, config: OracleConfig):
+    """``assemble(seed, k, mult)``: the conditions matrix of L(d; mult^k) at
+    the seed's first k points, cut from one assembly of L(d; m_max^r_max) per
+    seed, made on the first request.
+
+    A point's rows are its derivative orders in graded order, and no entry
+    depends on the multiplicity, so L(d; mult^k) is the first
+    _point_rows(mult, d) rows of each of the first k point blocks."""
+    blocks: dict[int, np.ndarray] = {}
+    largest = LinearSystem(degree, (m_max,) * r_max)
+    height, n_cols = _point_rows(m_max, degree), math.comb(degree + 3, 3)
+
+    def assemble(seed: int, k: int, mult: int) -> np.ndarray:
+        if seed not in blocks:
+            points = _sample_points(r_max, seed, config.prime, config.point_mode)
+            entries = conditions_matrix(largest, points, config.prime).entries
+            blocks[seed] = entries.reshape(r_max, height, n_cols)
+        return blocks[seed][:k, : _point_rows(mult, degree)].reshape(-1, n_cols)
+
+    return assemble
+
+
 def verify_grid(
     d_max: int, m_max: int, r_max: int, config: OracleConfig = DEFAULT_CONFIG
 ) -> GridReport:
@@ -735,9 +789,15 @@ def verify_grid(
     _checked_shape(LinearSystem(d_max, (m_max,) * r_max))
     rows = []
     for d in range(d_max + 1):
+        # each seed's points are sampled and assembled once per degree, and
+        # only this degree's blocks are held
+        blocks = _degree_blocks(d, m_max, r_max, config)
         for m in range(1, m_max + 1):
             # one elimination per seed gives every r <= r_max
-            reports = _cell_reports(LinearSystem(d, (m,) * r_max), config, range(1, r_max + 1))
+            reports = _cell_reports(
+                LinearSystem(d, (m,) * r_max), config, range(1, r_max + 1),
+                assemble=functools.partial(blocks, mult=m),
+            )
             for r, report in reports.items():
                 conjectured = conjectured_dimension(report.system)[0]
                 rows.append(GridRow(d, m, r, conjectured, report.dimension))

@@ -22,6 +22,7 @@ __all__ = [
     "quadric_triple",
     "remove_quadrics",
     "conjectured_dimension",
+    "dimension_lower_bound",
     "is_special",
     "line_speciality_bound",
     "classify_homogeneous",
@@ -126,6 +127,33 @@ def conjectured_dimension(system: LinearSystem) -> tuple[int, ReductionTrace]:
     dim = max(-1, value)
     trace = ReductionTrace(steps, final, empty=dim < 0)
     return dim, trace
+
+
+def dimension_lower_bound(system: LinearSystem) -> int:
+    """A proved lower bound on the dimension of L(d; m) at general points: the
+    procedure's Cremona and quadric steps, closed by v(final) alone, with no
+    base-line term."""
+    # Each step keeps h^0 or can only lower it, at general points:
+    # - The cubo-cubic Cremona map at four general points lifts to a
+    #   pseudo-isomorphism of the blow-up, an isomorphism away from the six
+    #   lines through them, so h^0 is kept.
+    # - A negative multiplicity marks a fixed exceptional component, and
+    #   removing it keeps h^0.
+    # - Multiplying by the quadric through nine points (10 coefficients, 9
+    #   conditions) maps L(d-2; m_i - 1 on those nine) injectively into
+    #   L(d; m), at any points, so the dimension can only drop along it.
+    # - v counts conditions, each point imposing at most C(m_i+2, 3), so it
+    #   is a lower bound; so is -1, and an empty reduction or a multiplicity
+    #   above the degree says no more than that.
+    # A sampled rank never exceeds the generic rank, so the oracle dimension
+    # is an upper bound: where it equals this bound, the cell is exact.
+    reduction = reduce_to_standard(system)
+    if reduction.empty:
+        return -1
+    final = remove_quadrics(reduction.final)[0]
+    if final.mults and final.mults[0] > final.degree:
+        return -1
+    return max(-1, virtual_dimension(final))
 
 
 def is_special(system: LinearSystem) -> tuple[bool, int]:

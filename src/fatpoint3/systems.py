@@ -126,7 +126,8 @@ class DivisorClass:
     e_coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "e_coeffs", tuple(int(b) for b in self.e_coeffs))
+        object.__setattr__(self, "h_coeff", operator.index(self.h_coeff))
+        object.__setattr__(self, "e_coeffs", tuple(map(operator.index, self.e_coeffs)))
 
     def _padded(self, n: int) -> tuple[int, ...]:
         return self.e_coeffs + (0,) * (n - len(self.e_coeffs))
@@ -159,13 +160,14 @@ class LineCycle:
     def __post_init__(self) -> None:
         norm: dict[tuple[int, int], int] = {}
         for i, j, weight in self.entries:
+            i, j, weight = operator.index(i), operator.index(j), operator.index(weight)
             if i == j:
                 raise ValueError("a line needs two distinct points")
             key = (min(i, j), max(i, j))
             if key in norm:
                 raise ValueError(f"duplicate pair {key}")
             if weight:
-                norm[key] = int(weight)
+                norm[key] = weight
         object.__setattr__(
             self, "entries", tuple((i, j, norm[(i, j)]) for (i, j) in sorted(norm))
         )

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fatpoint3 import (
     ALL_RANDOM,
@@ -16,6 +17,7 @@ from fatpoint3 import (
     conditions_matrix,
     conjectured_dimension,
     cremona_equivariance_check,
+    dimension_lower_bound,
     monomial_basis,
     normalize,
     oracle_dimension,
@@ -285,12 +287,23 @@ def test_certified_first_seed_stops_the_seed_loop(monkeypatch):
     assert verify_grid(3, 1, 6, three).mismatches == ()
     assert len(calls) == 4
     # of L(4; 2^r), r <= 10, only r = 9 is special (rank 34 of 35 columns),
-    # so seeds 2 and 3 eliminate just its 36 x 35 matrix
+    # and its dimension 0 meets the proved lower bound (the quadric through
+    # the nine points), so seed 1 closes every cell: one elimination
     calls.clear()
     reports = oracle_module._cell_reports(LinearSystem(4, (2,) * 10), three, range(1, 11))
-    assert calls == [(35, 40), (36, 35), (36, 35)]
+    assert calls == [(35, 40)]
     ranks = {r: list(rep.ranks) for r, rep in reports.items()}
-    assert ranks == {**{r: [4 * r] for r in range(1, 9)}, 9: [34, 34, 34], 10: [35]}
+    assert ranks == {**{r: [4 * r] for r in range(1, 9)}, 9: [34], 10: [35]}
+    assert not reports[9].certified  # certified still means full rank
+    # L(2; 2^2), the quadric cones with the line through both points as
+    # vertex, is line-special: its bound 1 stays below its dimension 2, so
+    # later seeds still run, and eliminate just its 8 x 10 matrix, while
+    # L(2; 2^3) meets its bound (a Cremona step) and closes after seed 1
+    calls.clear()
+    reports = oracle_module._cell_reports(LinearSystem(2, (2,) * 4), three, range(1, 5))
+    assert calls == [(10, 16), (8, 10), (8, 10)]
+    ranks = {r: list(rep.ranks) for r, rep in reports.items()}
+    assert ranks == {1: [4], 2: [7, 7, 7], 3: [9], 4: [10]}
     # a lone system runs every seed, certified or not, and reports each rank
     calls.clear()
     report = oracle_report(parse_system("2 1^9"), three)
@@ -563,6 +576,7 @@ def test_the_oracle_answers_without_the_procedure(monkeypatch):
     for module in (speciality_module, oracle_module):
         monkeypatch.setattr(module, "conjectured_dimension", refuse)
         monkeypatch.setattr(module, "classify_homogeneous", refuse)
+    monkeypatch.setattr(speciality_module, "speciality_correction", refuse)  # the line term
     report = oracle_report(parse_system("4 2^9"), FAST)
     assert (report.dimension, report.h1, report.certified) == (0, 1, False)
     reports = oracle_module._cell_reports(LinearSystem(4, (2,) * 10), FAST, (8, 9, 10))
@@ -571,3 +585,89 @@ def test_the_oracle_answers_without_the_procedure(monkeypatch):
         (0, 1, False),
         (-1, 0, True),
     ]
+    # the proved lower bound closed the special cell after one seed
+    assert reports[9].seeds == (1,)
+    assert dimension_lower_bound(parse_system("4 2^9")) == 0
+    assert dimension_lower_bound(parse_system("4 3^4")) == 0
+
+
+def test_the_grid_does_each_piece_of_oracle_work_once(monkeypatch):
+    counts = {"eliminations": 0, "assemblies": 0, "bounds": 0}
+
+    def spy(name, key):
+        inner = getattr(oracle_module, name)
+
+        def counting(*args):
+            counts[key] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(oracle_module, name, counting)
+
+    spy("_rank_profile", "eliminations")
+    spy("conditions_matrix", "assemblies")
+    spy("dimension_lower_bound", "bounds")
+    assert verify_grid(10, 4, 10).mismatches == ()
+    # one elimination per (d, m) at seed 1, 44 of them, and two later seeds
+    # on each of six line-special cells the bound cannot close; one assembly
+    # per degree at seed 1, and one per later seed at the five degrees 2-6
+    # that still have an open cell; a bound for each cell open after seed 1
+    assert counts == {"eliminations": 56, "assemblies": 21, "bounds": 18}
+
+
+@pytest.mark.parametrize("mode", [ALL_RANDOM, FUNDAMENTAL])
+@pytest.mark.parametrize("prime", [oracle_module.DEFAULT_PRIME, 11])
+def test_grid_blocks_are_the_conditions_matrix_rows(mode, prime, monkeypatch):
+    # from one L(d; 4^6) assembly a seed, every L(d; m^r), m <= 4, r <= 6, is
+    # bit-identical to its own assembly; at d <= 2 the multiplicities are
+    # clamped at d + 1
+    config = OracleConfig(prime=prime, seeds=(1, 2), point_mode=mode)
+    assembled = []
+
+    def spy(*args):
+        assembled.append(args[0])
+        return conditions_matrix(*args)
+
+    for d in range(7):
+        blocks = oracle_module._degree_blocks(d, 4, 6, config)
+        monkeypatch.setattr(oracle_module, "conditions_matrix", spy)
+        cells = itertools.product(config.seeds, range(1, 5), range(1, 7))
+        cut = {(seed, m, r): blocks(seed, r, m) for seed, m, r in cells}
+        monkeypatch.undo()
+        assert assembled == [LinearSystem(d, (4,) * 6)] * 2  # one per seed
+        assembled.clear()
+        for (seed, m, r), entries in cut.items():
+            points = oracle_module._sample_points(r, seed, prime, mode)
+            own = conditions_matrix(LinearSystem(d, (m,) * r), points, prime).entries
+            assert entries.shape == own.shape and (entries == own).all()
+
+
+def test_an_oracle_dimension_below_the_bound_raises(monkeypatch):
+    # L(4; 2^9), the window's first special cell, has dimension 0; a bound
+    # of 1 means one route is at fault
+    monkeypatch.setattr(oracle_module, "dimension_lower_bound", lambda system: 1)
+    message = (r"oracle dimension 0 of degree 4, mults \(2(, 2){8}\) "
+               r"lies below the proved lower bound 1")
+    with pytest.raises(RuntimeError, match=message):
+        verify_homogeneous(9, 2, FAST)
+    # the lone path computes no bound, and runs every seed
+    monkeypatch.setattr(oracle_module, "dimension_lower_bound", None)
+    assert oracle_report(parse_system("4 2^9"), FAST).ranks == (34, 34)
+
+
+def _bound_systems():
+    grid = st.builds(lambda d, m, r: LinearSystem(d, (m,) * r),
+                     st.integers(0, 8), st.integers(1, 4), st.integers(1, 10))
+    window = st.integers(1, 5).flatmap(
+        lambda m: st.builds(lambda d: LinearSystem(d, (m,) * 9), st.integers(2 * m, 2 * m + 2)))
+    ragged = st.builds(lambda d, mults: LinearSystem(d, tuple(mults)),
+                       st.integers(2, 10), st.lists(st.integers(1, 5), min_size=9, max_size=12))
+    return st.one_of(grid, window, ragged)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bound_systems(), st.sampled_from([ALL_RANDOM, FUNDAMENTAL]))
+def test_the_lower_bound_never_exceeds_the_oracle(system, mode):
+    # a sampled dimension is never below the generic one, which the bound
+    # never exceeds; with one seed, since a single sample bounds it too
+    config = OracleConfig(seeds=(1,), point_mode=mode)
+    assert dimension_lower_bound(system) <= oracle_dimension(system, config)

@@ -11,6 +11,7 @@ from fatpoint3 import (
     VERDICT_SPECIAL,
     classify_homogeneous,
     conjectured_dimension,
+    dimension_lower_bound,
     gamma_cycle,
     grouped_steps,
     is_special,
@@ -225,3 +226,24 @@ def test_correction_never_applied_before_standard_form():
     dim, trace = conjectured_dimension(system)
     assert dim == 0
     assert [step.kind for step in trace.steps] == [CREMONA, REMOVE_COMPONENT]
+
+
+@pytest.mark.parametrize(
+    "literal, bound, dimension",
+    [
+        ("4 2^9", 0, 0),  # quadric-special: the quadric through the nine points
+        ("2 2^2", 1, 2),  # line-special: cones over the line, which v misses
+        ("6 4^2 2^3", 31, 32),  # line-special, t = 2 on the line of the two 4s
+        ("2 3", -1, -1),  # empty: a multiplicity above the degree
+        ("4 2^10", -1, -1),  # empty after two quadric removals
+        ("2 2^3", 0, 0),  # the double plane, found by a Cremona step (v = -3)
+        ("4 3^4", 0, 0),  # the tetrahedron x0 x1 x2 x3, by a Cremona step (v = -6)
+        ("8 3^9", 74, 74),  # non-special
+        ("0", 0, 0),
+    ],
+)
+def test_dimension_lower_bound_values(literal, bound, dimension):
+    system = parse_system(literal)
+    assert dimension_lower_bound(system) == bound
+    assert conjectured_dimension(system)[0] == dimension
+

@@ -162,6 +162,13 @@ def test_curve_class_incidence_validation():
         lambda: CurveClass(1, (1.0,)),
         lambda: CurveClass(1, (), ((0, 1, 0.5),)),
         lambda: CurveClass(1, (), ((0, 1, 0.0),)),
+        lambda: DivisorClass(2.9, (1,)),
+        lambda: DivisorClass(2, (1.5,)),
+        lambda: DivisorClass(2, ("3",)),
+        lambda: LineCycle(((0, 1, 2.7),)),
+        lambda: LineCycle(((0, 1, 0.0),)),
+        lambda: LineCycle(((0.0, 1, 2),)),
+        lambda: LineCycle(((0, "1", 2),)),
     ],
 )
 def test_non_integers_are_refused_not_truncated(make):
@@ -178,6 +185,12 @@ def test_integer_like_values_are_kept_as_ints():
     curve = CurveClass(np.int32(1), (np.int8(1),), ((0, 1, np.int64(2)),))
     assert curve == CurveClass(1, (1,), ((0, 1, 2),))
     assert type(curve.incidences[0][2]) is int
+    divisor = DivisorClass(np.int64(2), (np.int32(1), 3))
+    assert divisor == DivisorClass(2, (1, 3))
+    assert all(type(v) is int for v in (divisor.h_coeff, *divisor.e_coeffs))
+    cycle = LineCycle(((np.int64(1), np.int8(0), np.int16(2)),))
+    assert cycle == LineCycle(((0, 1, 2),))
+    assert all(type(v) is int for v in cycle.entries[0])
 
 
 def test_line_cycle_container():
