@@ -21,7 +21,6 @@ __all__ = [
     "cremona_with_lines",
     "is_standard_form",
     "reduce_to_standard",
-    "has_fixed_plane",
     "curve_invariants",
     "line_orbit",
     "grouped_steps",
@@ -193,19 +192,6 @@ def reduce_to_standard(system: LinearSystem) -> ReductionTrace:
         after = normalize(cremona_system(current, (0, 1, 2, 3)))
         steps.append(ReductionStep(CREMONA, (0, 1, 2, 3), current, after))
         current = after
-
-
-def has_fixed_plane(system: LinearSystem, i: int, j: int, k: int) -> bool:
-    """Diagnostic: the plane through points i, j, k is forced into the base
-    locus exactly when 2d - m_i - m_j - m_k < 0."""
-    if len({i, j, k}) != 3 or min(i, j, k) < 0:
-        raise ValueError("need three distinct point indices")
-    mults = system.mults
-
-    def get(t: int) -> int:
-        return mults[t] if t < len(mults) else 0
-
-    return 2 * system.degree - get(i) - get(j) - get(k) < 0
 
 
 def curve_invariants(curve: CurveClass) -> tuple[int, int]:

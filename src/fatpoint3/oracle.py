@@ -29,6 +29,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 import random
 import warnings
 from dataclasses import dataclass
@@ -136,7 +137,7 @@ class OracleConfig:
     point_mode: str = FUNDAMENTAL
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seeds", tuple(self.seeds))
+        object.__setattr__(self, "seeds", tuple(map(operator.index, self.seeds)))
         _check_prime(self.prime)
         if not self.seeds:
             raise ValueError("need at least one seed")
@@ -373,7 +374,7 @@ class ConditionsMatrix:
 def _projective_key(point, prime: int) -> tuple[int, int, int, int]:
     """A point given by 3 affine (chart x0 = 1) or 4 homogeneous coordinates,
     as homogeneous coordinates mod p whose first nonzero one is 1."""
-    coords = [int(c) % prime for c in point]
+    coords = [operator.index(c) % prime for c in point]
     if len(coords) == 3:
         return (1, *coords)
     if len(coords) != 4:

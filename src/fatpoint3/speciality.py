@@ -4,6 +4,7 @@ and speciality verdicts."""
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from .cremona import REMOVE_QUADRIC, ReductionStep, ReductionTrace, reduce_to_standard
@@ -24,7 +25,6 @@ __all__ = [
     "conjectured_dimension",
     "dimension_lower_bound",
     "is_special",
-    "line_speciality_bound",
     "classify_homogeneous",
     "QuadricPencilReport",
     "quadric_pencil_system",
@@ -163,20 +163,6 @@ def is_special(system: LinearSystem) -> tuple[bool, int]:
     return excess > 0, excess
 
 
-def line_speciality_bound(system: LinearSystem, pair: tuple[int, int]) -> int:
-    """Guaranteed dimension excess C(t+1, 3) contributed by the line through
-    the two points, defined when its excess t = m_i + m_j - d is at least 2."""
-    i, j = pair
-    if i == j or min(i, j) < 0:
-        raise ValueError("need two distinct non-negative point indices")
-    if max(i, j) >= system.npoints:
-        raise ValueError(f"point index {max(i, j)} out of range for {system.npoints} points")
-    t = system.mults[i] + system.mults[j] - system.degree
-    if t < 2:
-        raise ValueError("line excess below 2 guarantees no contribution")
-    return math.comb(t + 1, 3)
-
-
 def classify_homogeneous(degree: int, mult: int, npoints: int) -> str:
     """Speciality verdict for the homogeneous system L(d, m^r).
 
@@ -185,6 +171,7 @@ def classify_homogeneous(degree: int, mult: int, npoints: int) -> str:
     For d <= 2m-1 the system is empty once r >= 8, and needs the full
     procedure otherwise.
     """
+    degree, mult, npoints = map(operator.index, (degree, mult, npoints))
     if degree < 0 or mult < 0 or npoints < 1:
         raise ValueError("need d >= 0, m >= 0 and at least one point")
     if degree >= 2 * mult:

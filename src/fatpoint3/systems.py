@@ -6,21 +6,16 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterable
 
 __all__ = [
     "LinearSystem",
     "CurveClass",
-    "DivisorClass",
     "LineCycle",
     "normalize",
     "virtual_dimension",
     "expected_dimension",
     "dimension_excess",
     "intersect_curve",
-    "triple_product",
-    "canonical_class",
-    "to_divisor",
     "point_conditions",
     "MAX_POINTS",
     "check_point_count",
@@ -114,39 +109,6 @@ class CurveClass:
 
 
 @dataclass(frozen=True)
-class DivisorClass:
-    """Class a*H - sum_i b_i*E_i on the blow-up of P^3 at r points.
-
-    Coordinates are kept in multiplicity form ``(a; b_1, ..., b_r)``, so a
-    linear system embeds with its degree and multiplicities unchanged.
-    Componentwise arithmetic zero-pads the shorter coefficient list.
-    """
-
-    h_coeff: int
-    e_coeffs: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "h_coeff", operator.index(self.h_coeff))
-        object.__setattr__(self, "e_coeffs", tuple(map(operator.index, self.e_coeffs)))
-
-    def _padded(self, n: int) -> tuple[int, ...]:
-        return self.e_coeffs + (0,) * (n - len(self.e_coeffs))
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        n = max(len(self.e_coeffs), len(other.e_coeffs))
-        return DivisorClass(
-            self.h_coeff + other.h_coeff,
-            tuple(x + y for x, y in zip(self._padded(n), other._padded(n))),
-        )
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + (-other)
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.h_coeff, tuple(-b for b in self.e_coeffs))
-
-
-@dataclass(frozen=True)
 class LineCycle:
     """Formal 1-cycle supported on the lines through point pairs.
 
@@ -221,24 +183,3 @@ def intersect_curve(system: LinearSystem, curve: CurveClass) -> int:
         raise ValueError("curve carries incidence data; only plain classes intersect here")
     dot = sum(m * mu for m, mu in zip_longest(system.mults, curve.mults, fillvalue=0))
     return system.degree * curve.degree - dot
-
-
-def triple_product(d1: DivisorClass, d2: DivisorClass, d3: DivisorClass) -> int:
-    """Triple intersection number: H^3 = E_i^3 = 1 and mixed monomials vanish,
-    giving a1*a2*a3 - sum_i b1i*b2i*b3i."""
-    mixed = sum(
-        x * y * z
-        for x, y, z in zip_longest(d1.e_coeffs, d2.e_coeffs, d3.e_coeffs, fillvalue=0)
-    )
-    return d1.h_coeff * d2.h_coeff * d3.h_coeff - mixed
-
-
-def canonical_class(npoints: int) -> DivisorClass:
-    """Canonical class -4H + 2*sum_i E_i, i.e. (-4; (-2)^r) in multiplicity form."""
-    if npoints < 0:
-        raise ValueError("point count must be non-negative")
-    return DivisorClass(-4, (-2,) * npoints)
-
-
-def to_divisor(system: LinearSystem) -> DivisorClass:
-    return DivisorClass(system.degree, system.mults)

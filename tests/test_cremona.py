@@ -12,7 +12,6 @@ from fatpoint3 import (
     cremona_with_lines,
     curve_invariants,
     grouped_steps,
-    has_fixed_plane,
     is_standard_form,
     line_orbit,
     normalize,
@@ -227,13 +226,6 @@ def test_render_trace_arrows():
 def test_render_trace_ends_an_empty_trace_with_a_mark():
     trace = reduce_to_standard(LinearSystem(1, (2,)))
     assert render_trace(trace).splitlines() == ["1 2", "  (empty)"]
-
-
-def test_has_fixed_plane():
-    assert has_fixed_plane(parse_system("3 3^3"), 0, 1, 2)
-    assert not has_fixed_plane(parse_system("6 6 2^4"), 0, 1, 2)
-    with pytest.raises(ValueError):
-        has_fixed_plane(parse_system("3 3^3"), 0, 0, 1)
 
 
 def test_curve_invariants_reference_values():

@@ -399,6 +399,15 @@ def test_conditions_matrix_refuses_huge_systems_before_assembly(monkeypatch):
         verify_homogeneous(10**12, 1, FAST)
 
 
+def test_the_entry_cap_admits_l10_50_102_and_refuses_l10_50_103():
+    # multiplicities clamp at d + 1 = 11, C(13, 3) = 286 rows a point, and
+    # C(13, 3) = 286 columns: 102 points give 29,172 x 286 = 8,343,192
+    # entries, under 2^23 = 8,388,608, and 103 give 8,424,988, above it
+    assert oracle_module._checked_shape(LinearSystem(10, (50,) * 102)) == (29172, 286)
+    with pytest.raises(ValueError, match="29458 x 286 conditions matrix exceeds"):
+        oracle_module._checked_shape(LinearSystem(10, (50,) * 103))
+
+
 def _derivative_at(a, alpha, q, p):
     # d^alpha of prod x_v^(a_v) at the point q, as Python integers
     value = 1

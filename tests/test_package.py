@@ -38,3 +38,16 @@ def test_package_import_loads_the_oracle():
     subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120
     )
+
+
+def test_readme_library_sketch_runs_as_written(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library sketch", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    # the values the block's comments give
+    assert namespace["dim"] == 19
+    assert namespace["special"] is True and namespace["excess"] == 9
+    assert namespace["check"] == 19
+    assert capsys.readouterr().out.startswith("16 11 7^8\n")

@@ -3,6 +3,7 @@
 import math
 import os
 import sys
+from itertools import zip_longest
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -10,10 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 from fatpoint3 import (
     VERDICT_SPECIAL,
     CurveClass,
-    DivisorClass,
     LinearSystem,
     LineCycle,
-    canonical_class,
     classify_homogeneous,
     conditions_matrix,
     conjectured_dimension,
@@ -31,8 +30,6 @@ from fatpoint3 import (
     quadric_triple,
     remove_quadrics,
     speciality_correction,
-    to_divisor,
-    triple_product,
     virtual_dimension,
 )
 from fatpoint3.literals import format_curve, format_system, parse_curve, parse_system
@@ -40,6 +37,20 @@ from fatpoint3.literals import format_curve, format_system, parse_curve, parse_s
 # the Python-integer evaluation of conditions lives beside the oracle's tests
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_oracle import _derivative_at, _orders  # noqa: E402
+
+
+# Reference divisor algebra on the blow-up at r points, on plain tuples
+# (a, (b_1, ..., b_r)) for a*H - sum b_i*E_i, short lists zero-padded:
+# H^3 = E_i^3 = 1 and mixed monomials vanish, and K = (-4, (-2,) * r).
+def _triple(*classes):
+    points = zip_longest(*(b for _, b in classes), fillvalue=0)
+    return math.prod(a for a, _ in classes) - sum(map(math.prod, points))
+
+
+def _minus(first, second):
+    pairs = zip_longest(first[1], second[1], fillvalue=0)
+    return first[0] - second[0], tuple(x - y for x, y in pairs)
+
 
 mult_lists = st.lists(st.integers(-4, 9), max_size=8).map(tuple)
 quadruples = st.permutations(range(8)).map(lambda p: tuple(p[:4]))
@@ -179,8 +190,10 @@ def test_virtual_dimension_additivity(first, second):
     lhs = 2 * (
         virtual_dimension(total) - virtual_dimension(first) - virtual_dimension(second)
     )
-    rhs = triple_product(
-        to_divisor(first), to_divisor(second), to_divisor(total) - canonical_class(n)
+    rhs = _triple(
+        (first.degree, first.mults),
+        (second.degree, second.mults),
+        _minus((total.degree, total.mults), (-4, (-2,) * n)),
     )
     assert lhs == rhs
 
@@ -259,12 +272,11 @@ def test_quadric_sign_matches_homogeneous_closed_form(degree, mult):
 @given(st.integers(-3, 40), st.lists(st.integers(-5, 30), min_size=9, max_size=40))
 def test_quadric_triple_is_the_divisor_triple_product(degree, mults):
     # ragged, unsorted, zero and negative multiplicities: the closed form
-    # agrees with Q(L-Q)(L-K) built in the divisor algebra, Q on the first nine
+    # agrees with Q(L-Q)(L-K) built in the reference algebra, Q on the first nine
     system = LinearSystem(degree, tuple(mults))
-    r = system.npoints
-    q = DivisorClass(2, (1,) * 9 + (0,) * (r - 9))
-    ell = to_divisor(system)
-    assert quadric_triple(system) == triple_product(q, ell - q, ell - canonical_class(r))
+    q, ell = (2, (1,) * 9), (system.degree, system.mults)
+    expected = _triple(q, _minus(ell, q), _minus(ell, (-4, (-2,) * system.npoints)))
+    assert quadric_triple(system) == expected
 
 
 def test_classify_homogeneous_special_exactly_on_the_sign_test():

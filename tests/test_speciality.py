@@ -16,7 +16,6 @@ from fatpoint3 import (
     grouped_steps,
     is_special,
     is_standard_form,
-    line_speciality_bound,
     normalize,
     quadric_pencil_dimension,
     quadric_pencil_system,
@@ -142,39 +141,21 @@ def test_is_special_values():
     assert is_special(parse_system("3 4")) == (False, 0)  # empty
 
 
-def test_line_speciality_bound():
-    assert line_speciality_bound(parse_system("6 6 2^4"), (0, 1)) == 1
-    assert line_speciality_bound(parse_system("3 3^3"), (0, 1)) == 4
-    with pytest.raises(ValueError):
-        line_speciality_bound(parse_system("6 6 2^4"), (1, 2))
-
-
-@pytest.mark.parametrize(
-    "pair, message",
-    [
-        ((0, 0), "distinct non-negative"),
-        ((-3, 1), "distinct non-negative"),
-        ((1, -1), "distinct non-negative"),
-        ((0, 3), "out of range"),
-        ((5, 1), "out of range"),
-    ],
-)
-def test_line_speciality_bound_validates_its_pair(pair, message):
-    # (-3, 1) would wrap to the pair (0, 1), whose excess is 2
-    with pytest.raises(ValueError, match=message):
-        line_speciality_bound(parse_system("4 3 3 1"), pair)
+def test_speciality_correction_of_one_line():
+    # two points, one line: t = 2 gives C(3, 3) = 1 and t = 3 gives C(4, 3) = 4;
+    # an excess below 2 contributes nothing
+    assert speciality_correction(parse_system("6 6 2")) == 1
+    assert speciality_correction(parse_system("3 3^2")) == 4
+    assert speciality_correction(parse_system("6 4 3")) == 0
 
 
 def test_line_bound_overshoots_on_non_standard_input():
     # three concurrent triple lines each promise 4, but the true excess is 11:
     # the bound is only honest after reduction to standard form
     system = parse_system("3 3^3")
-    per_line = sum(
-        line_speciality_bound(system, pair) for pair in [(0, 1), (0, 2), (1, 2)]
-    )
     dim, _ = conjectured_dimension(system)
     actual_excess = dim - virtual_dimension(system)
-    assert per_line == 12 and actual_excess == 11
+    assert speciality_correction(system) == 12 and actual_excess == 11
 
 
 def test_classify_homogeneous_verdicts():

@@ -3,18 +3,18 @@ import math
 import pytest
 
 from fatpoint3 import (
+    VERDICT_SPECIAL,
     CurveClass,
-    DivisorClass,
     LinearSystem,
     LineCycle,
-    canonical_class,
+    OracleConfig,
+    classify_homogeneous,
+    conditions_matrix,
     dimension_excess,
     expected_dimension,
     intersect_curve,
     normalize,
     point_conditions,
-    to_divisor,
-    triple_product,
     virtual_dimension,
 )
 from fatpoint3.literals import parse_system
@@ -91,53 +91,14 @@ def test_intersect_curve_rejects_incidence_classes():
         intersect_curve(parse_system("3 1^4"), line_on_l12)
 
 
-def test_triple_product_reference_value():
-    q = DivisorClass(2, (1,) * 9)
-    l_minus_q = DivisorClass(14, (10,) + (6,) * 8)
-    l_minus_k = DivisorClass(20, (13,) + (9,) * 8)
-    assert triple_product(q, l_minus_q, l_minus_k) == -2
-
-
-def test_triple_product_homogeneous_closed_form():
-    # for L(d, m^9): Q(L-Q)(L-K) = 2(d-2)(d+4) - 9(m-1)(m+2); checked at (8, 4)
-    d, m = 8, 4
-    q = DivisorClass(2, (1,) * 9)
-    ell = DivisorClass(d, (m,) * 9)
-    value = triple_product(q, ell - q, ell - canonical_class(9))
-    assert value == 2 * (d - 2) * (d + 4) - 9 * (m - 1) * (m + 2) == -18
-
-
-def test_triple_product_zero_factor():
-    zero = DivisorClass(0, (0, 0))
-    assert triple_product(zero, DivisorClass(3, (2, 1)), DivisorClass(5, (1, 1))) == 0
-
-
-def test_canonical_class_shifts_degree_and_mults():
-    # L - K must come out as (d+4; (m_i+2)^r)
-    ell = parse_system("16 11 7^8")
-    shifted = to_divisor(ell) - canonical_class(ell.npoints)
-    assert shifted == DivisorClass(20, (13,) + (9,) * 8)
-    assert canonical_class(0) == DivisorClass(-4)
-    assert canonical_class(2) == DivisorClass(-4, (-2, -2))
-
-
-def test_divisor_arithmetic_pads():
-    a = DivisorClass(1, (1,))
-    b = DivisorClass(2, (1, 1, 1))
-    assert a + b == DivisorClass(3, (2, 1, 1))
-    assert b - a == DivisorClass(1, (0, 1, 1))
-
-
 def test_additivity_identity_on_small_split():
     # v(L) = v(M) + v(F) + F.M.(L-K)/2 for L = F + M over the same points
     f = LinearSystem(1, (1, 0))
     m = LinearSystem(2, (1, 1))
     total = LinearSystem(3, (2, 1))
+    # F.M.(L-K) with L-K = (7; 4, 3): 1*2*7 - (1*1*4 + 0*1*3) = 10
     lhs = 2 * (virtual_dimension(total) - virtual_dimension(m) - virtual_dimension(f))
-    rhs = triple_product(
-        to_divisor(f), to_divisor(m), to_divisor(total) - canonical_class(2)
-    )
-    assert lhs == rhs
+    assert lhs == 10
 
 
 def test_point_conditions():
@@ -162,13 +123,15 @@ def test_curve_class_incidence_validation():
         lambda: CurveClass(1, (1.0,)),
         lambda: CurveClass(1, (), ((0, 1, 0.5),)),
         lambda: CurveClass(1, (), ((0, 1, 0.0),)),
-        lambda: DivisorClass(2.9, (1,)),
-        lambda: DivisorClass(2, (1.5,)),
-        lambda: DivisorClass(2, ("3",)),
+        lambda: conditions_matrix(LinearSystem(2, (1,)), [(1.9, 2.2, 3.7)]),
+        lambda: OracleConfig(seeds=(1.5, "x")),
+        lambda: classify_homogeneous(4.5, 2, 9),
         lambda: LineCycle(((0, 1, 2.7),)),
         lambda: LineCycle(((0, 1, 0.0),)),
         lambda: LineCycle(((0.0, 1, 2),)),
         lambda: LineCycle(((0, "1", 2),)),
+        lambda: conditions_matrix(LinearSystem(2, (1,)), [("1", "2", "3")]),
+        lambda: classify_homogeneous(4, 2, 9.0),
     ],
 )
 def test_non_integers_are_refused_not_truncated(make):
@@ -185,9 +148,13 @@ def test_integer_like_values_are_kept_as_ints():
     curve = CurveClass(np.int32(1), (np.int8(1),), ((0, 1, np.int64(2)),))
     assert curve == CurveClass(1, (1,), ((0, 1, 2),))
     assert type(curve.incidences[0][2]) is int
-    divisor = DivisorClass(np.int64(2), (np.int32(1), 3))
-    assert divisor == DivisorClass(2, (1, 3))
-    assert all(type(v) is int for v in (divisor.h_coeff, *divisor.e_coeffs))
+    config = OracleConfig(seeds=(np.int64(2), np.int32(1)))
+    assert config.seeds == (2, 1) and all(type(v) is int for v in config.seeds)
+    point = [(np.int64(1), np.int32(2), np.int8(3))]
+    assert conditions_matrix(LinearSystem(2, (1,)), point).entries.tolist() == (
+        conditions_matrix(LinearSystem(2, (1,)), [(1, 2, 3)]).entries.tolist()
+    )
+    assert classify_homogeneous(np.int64(20), np.int32(10), np.int8(9)) == VERDICT_SPECIAL
     cycle = LineCycle(((np.int64(1), np.int8(0), np.int16(2)),))
     assert cycle == LineCycle(((0, 1, 2),))
     assert all(type(v) is int for v in cycle.entries[0])
