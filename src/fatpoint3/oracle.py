@@ -655,7 +655,9 @@ def _cell_reports(
             warnings.warn(
                 f"ranks {seed_ranks} disagree across seeds for degree {degree}, "
                 f"mults {prefix.mults}; using the maximum", SeedDisagreement,
-                stacklevel=3 if stop_certified else 4,  # past _seed_ranks to its caller
+                # past _seed_ranks and the public entry that calls it, or past
+                # verify_grid or verify_homogeneous, to the caller's line
+                stacklevel=3 if stop_certified else 4,
             )
         best = max(seed_ranks)
         dimension = n_cols - best - 1
@@ -690,13 +692,13 @@ def oracle_report(system: LinearSystem, config: OracleConfig = DEFAULT_CONFIG) -
 def oracle_dimension(system: LinearSystem, config: OracleConfig = DEFAULT_CONFIG) -> int:
     """True projective dimension at the sampled points: C(d+3,3) minus the
     best rank across seeds, minus one; -1 means the system is empty."""
-    return oracle_report(system, config).dimension
+    return _seed_ranks(system, config).dimension
 
 
 def oracle_h1(system: LinearSystem, config: OracleConfig = DEFAULT_CONFIG) -> int:
     """Measured speciality: oracle dimension minus expected dimension for a
     non-empty system, and 0 for an empty one."""
-    return oracle_report(system, config).h1
+    return _seed_ranks(system, config).h1
 
 
 # --- grid verification --------------------------------------------------------
@@ -864,4 +866,4 @@ def cremona_equivariance_check(system: LinearSystem, config: OracleConfig) -> bo
     image = cremona_system(padded, (0, 1, 2, 3))
     if image.degree < 0 or any(m < 0 for m in image.mults):
         raise ValueError("transform leaves the admissible range for the oracle")
-    return oracle_dimension(padded, config) == oracle_dimension(image, config)
+    return _seed_ranks(padded, config).dimension == _seed_ranks(image, config).dimension

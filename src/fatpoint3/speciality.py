@@ -107,6 +107,29 @@ def remove_quadrics(
     return current, tuple(steps)
 
 
+# The (system, dimension) of conjectured_dimension's last run, which is_special
+# reads for an equal system, so a caller asking for both runs the procedure
+# once. One tuple store replaces the pair, so a racing reader sees one whole
+# pair, old or new, and either is correct.
+_last_run: tuple[LinearSystem | None, int] = (None, -1)
+
+
+def _procedure(system: LinearSystem, lines: bool) -> tuple[int, ReductionTrace]:
+    """Reduce to standard form, strip base quadrics, then close with v(final),
+    plus the base-line correction if ``lines`` is set, clamped at -1. The
+    trace chains every step; its ``empty`` flag is set when the answer is -1."""
+    reduction = reduce_to_standard(system)
+    if reduction.empty:
+        return -1, reduction
+    final, quadric_steps = remove_quadrics(reduction.final)
+    dim = -1
+    # a multiplicity above the degree means empty, and the closing formula
+    # does not apply (its vanishing assumption fails)
+    if not final.mults or final.mults[0] <= final.degree:
+        dim = max(-1, virtual_dimension(final) + (speciality_correction(final) if lines else 0))
+    return dim, ReductionTrace(reduction.steps + quadric_steps, final, empty=dim < 0)
+
+
 def conjectured_dimension(system: LinearSystem) -> tuple[int, ReductionTrace]:
     """Run the full procedure: reduce to standard form, strip base quadrics,
     then return v(final) plus the base-line correction, clamped at -1.
@@ -114,18 +137,9 @@ def conjectured_dimension(system: LinearSystem) -> tuple[int, ReductionTrace]:
     The returned trace chains every step; its ``empty`` flag is set when the
     answer is -1.
     """
-    reduction = reduce_to_standard(system)
-    if reduction.empty:
-        return -1, reduction
-    final, quadric_steps = remove_quadrics(reduction.final)
-    steps = reduction.steps + quadric_steps
-    if final.mults and final.mults[0] > final.degree:
-        # a multiplicity above the degree means empty, and the closing
-        # formula does not apply (its vanishing assumption fails)
-        return -1, ReductionTrace(steps, final, empty=True)
-    value = virtual_dimension(final) + speciality_correction(final)
-    dim = max(-1, value)
-    trace = ReductionTrace(steps, final, empty=dim < 0)
+    global _last_run
+    dim, trace = _procedure(system, True)
+    _last_run = system, dim
     return dim, trace
 
 
@@ -147,19 +161,18 @@ def dimension_lower_bound(system: LinearSystem) -> int:
     #   above the degree says no more than that.
     # A sampled rank never exceeds the generic rank, so the oracle dimension
     # is an upper bound: where it equals this bound, the cell is exact.
-    reduction = reduce_to_standard(system)
-    if reduction.empty:
-        return -1
-    final = remove_quadrics(reduction.final)[0]
-    if final.mults and final.mults[0] > final.degree:
-        return -1
-    return max(-1, virtual_dimension(final))
+    return _procedure(system, False)[0]
 
 
 def is_special(system: LinearSystem) -> tuple[bool, int]:
     """Whether the system's conjectured dimension strictly exceeds the
-    expected one, together with the excess."""
-    excess = dimension_excess(system, conjectured_dimension(normalize(system))[0])
+    expected one, together with the excess. A system equal to the one the
+    last ``conjectured_dimension`` call ran on takes that call's dimension,
+    as the procedure normalizes first, and does not run it again."""
+    recorded, dim = _last_run
+    if recorded != system:
+        dim = conjectured_dimension(normalize(system))[0]
+    excess = dimension_excess(system, dim)
     return excess > 0, excess
 
 

@@ -265,12 +265,17 @@ def test_seed_disagreement_names_the_callers_line(monkeypatch):
     config = OracleConfig(seeds=(1, 2))
     for run in (
         lambda: oracle_report(LinearSystem(1, (1, 1, 1)), config),
+        lambda: oracle_dimension(LinearSystem(1, (1, 1, 1)), config),
+        lambda: oracle_h1(LinearSystem(1, (1, 1, 1)), config),
+        # L(2; 1^4) is its own image, and four points on a line fail quadrics
+        lambda: cremona_equivariance_check(LinearSystem(2, (1,) * 4), config),
         lambda: verify_grid(1, 1, 3, config),
         lambda: verify_homogeneous(4, 1, config),
     ):
         with pytest.warns(SeedDisagreement) as record:
             run()
-        assert {w.filename for w in record} == {__file__}
+        # each warning names the line of the public call
+        assert {(w.filename, w.lineno) for w in record} == {(__file__, run.__code__.co_firstlineno)}
 
 
 def test_certified_first_seed_stops_the_seed_loop(monkeypatch):

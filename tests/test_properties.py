@@ -21,9 +21,11 @@ from fatpoint3 import (
     cremona_system,
     cremona_with_lines,
     curve_invariants,
+    dimension_excess,
     expected_dimension,
     gamma_cycle,
     intersect_curve,
+    is_special,
     is_standard_form,
     monomial_basis,
     normalize,
@@ -233,6 +235,18 @@ def test_reduction_terminates_without_raising_the_degree(system):
 def test_conjectured_dimension_blind_to_a_leading_transform(system, idx):
     image = normalize(cremona_system(system, idx))
     assert conjectured_dimension(image)[0] == conjectured_dimension(system)[0]
+
+
+@given(systems(), systems(), st.sampled_from(["other", "same", "unnormalized"]))
+def test_is_special_never_takes_another_systems_answer(first, other, second):
+    # the second system is another one, the first itself, or the first
+    # reordered and padded with a zero
+    second = {"other": other, "same": first,
+              "unnormalized": LinearSystem(first.degree, first.mults[::-1] + (0,))}[second]
+    conjectured_dimension(first)
+    got = is_special(second)
+    excess = dimension_excess(second, conjectured_dimension(normalize(second))[0])
+    assert got == (excess > 0, excess)
 
 
 @given(honest_systems())

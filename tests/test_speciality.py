@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fatpoint3.speciality as speciality_module
 from fatpoint3 import (
     CREMONA,
     REMOVE_COMPONENT,
@@ -139,6 +145,51 @@ def test_is_special_values():
     assert is_special(parse_system("16 11 7^8")) == (True, 9)
     assert is_special(parse_system("2 1^4")) == (False, 0)
     assert is_special(parse_system("3 4")) == (False, 0)  # empty
+
+
+# special, an unnormalized input, an empty reduction, and a multiplicity
+# above the degree after two quadric removals
+@pytest.mark.parametrize("literal", ["10 6^5", "16 7^8 11", "3 4", "4 2^10"])
+def test_is_special_after_the_procedure_runs_it_once(monkeypatch, literal):
+    system = parse_system(literal)
+    expected = is_special(system)
+    runs = []
+    reduce_to_standard = speciality_module.reduce_to_standard
+
+    def counted(system):
+        runs.append(system)
+        return reduce_to_standard(system)
+
+    monkeypatch.setattr(speciality_module, "reduce_to_standard", counted)
+    conjectured_dimension(system)
+    assert is_special(system) == expected
+    assert len(runs) == 1
+
+
+def test_is_special_answers_for_its_own_system():
+    # same multiplicities, another degree: L(10; 6^5) is special, L(11; 6^5) is not
+    conjectured_dimension(parse_system("10 6^5"))
+    assert is_special(parse_system("11 6^5")) == (False, 0)
+    # the unnormalized input and its normal form, either one run first
+    raw, normal = parse_system("16 7^8 11"), parse_system("16 11 7^8")
+    for first, second in ((raw, normal), (normal, raw), (raw, raw)):
+        conjectured_dimension(first)
+        assert is_special(second) == (True, 9)
+    # after each -1 path, the next system is not taken as empty
+    for empty in ("3 4", "4 2^10"):
+        assert conjectured_dimension(parse_system(empty))[0] == -1
+        assert is_special(parse_system("10 6^5")) == (True, 10)
+        conjectured_dimension(parse_system("10 6^5"))
+        assert is_special(parse_system(empty)) == (False, 0)
+
+
+def test_is_special_before_any_procedure_run():
+    src = str(Path(speciality_module.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "from fatpoint3 import LinearSystem, is_special; print(is_special(LinearSystem(10, (6,) * 5)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert proc.stdout == "(True, 10)\n"
 
 
 def test_speciality_correction_of_one_line():
