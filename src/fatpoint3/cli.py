@@ -157,22 +157,19 @@ def cmd_oracle(args) -> int:
     system = parse_system(args.system)
     report = oracle_report(system, _config(args))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "system": format_system(system),
-                    "prime": report.prime,
-                    "seeds": list(report.seeds),
-                    "point_mode": report.point_mode,
-                    "rows": report.n_rows,
-                    "cols": report.n_cols,
-                    "ranks": list(report.ranks),
-                    "certified": report.certified,
-                    "dimension": report.dimension,
-                    "h1": report.h1,
-                }
-            )
-        )
+        payload = {
+            "system": format_system(system),
+            "prime": report.prime,
+            "seeds": list(report.seeds),
+            "point_mode": report.point_mode,
+            "rows": report.n_rows,
+            "cols": report.n_cols,
+            "ranks": list(report.ranks),
+            "certified": report.certified,
+            "dimension": report.dimension,
+            "h1": report.h1,
+        }
+        print(json.dumps(payload))
         return 0
     print(f"system: {format_system(system)}")
     print(f"matrix: {report.n_rows} x {report.n_cols} over F_{report.prime}")
@@ -221,10 +218,9 @@ def cmd_transform(args) -> int:
             if sorted(idx) != [0, 1, 2, 3]:
                 raise ValueError("classes with incidence data transform on points 1 2 3 4")
             image = cremona_curve_full(curve)
-            print(format_curve(image, sugar=False))
-            return 0
-        image = cremona_curve(curve, idx)
-        image = CurveClass(image.degree, tuple(sorted(image.mults, reverse=True)))
+        else:
+            image = cremona_curve(curve, idx)
+            image = CurveClass(image.degree, tuple(sorted(image.mults, reverse=True)))
         print(format_curve(image, sugar=False))
         return 0
     image = normalize(cremona_system(parse_system(args.literal), idx))

@@ -37,8 +37,7 @@ _PAIRS4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _complement(i: int, j: int) -> tuple[int, int]:
-    rest = tuple(k for k in range(4) if k not in (i, j))
-    return rest
+    return tuple(k for k in range(4) if k not in (i, j))
 
 
 @dataclass(frozen=True)
@@ -68,6 +67,35 @@ class ReductionTrace:
     empty: bool = False
 
 
+# The most a reduction or a run of quadric removals may hold, in units of 8
+# bytes, checked before each step is built; a procedure's trace holds one of
+# each, so at most 64 MiB beyond its input. A step from a normal system is
+# charged:
+# - its points: slots of 8 bytes in the tuple of the system it makes, which
+#   has at most three more (a Cremona step on fewer than four points); the
+#   ints behind the slots are shared from step to step;
+# - _STEP_UNITS (1 KiB) for its own objects: a step, a system, a tuple and the
+#   at most nine ints it makes, about 500 bytes together on eight points with
+#   24-bit degrees (tracemalloc, 1,500 Cremona steps);
+# - the bits w of the largest of |d| and |m_i|, for the width of those ints:
+#   none exceeds 7 times that largest, so each takes at most 32 + (w + 3) / 7.5
+#   bytes, nine of them at most 37 + 0.15 w units.
+# That allows 46 steps over 90,000 points or about 27,000 on eight, each a few
+# sorted passes over the points; L(12; 6^9, 1^90000) takes 5 x 90,141 units.
+_MAX_TRACE_UNITS = 1 << 22
+_STEP_UNITS = 128
+
+
+def _charged(held: int, system: LinearSystem) -> int:
+    """``held`` plus the units of a step from ``system``, normal and with
+    points, refusing a trace past _MAX_TRACE_UNITS."""
+    mults = system.mults
+    held += len(mults) + _STEP_UNITS + max(abs(system.degree), mults[0], -mults[-1]).bit_length()
+    if held > _MAX_TRACE_UNITS:
+        raise ValueError(f"the reduction's trace would pass its budget of {_MAX_TRACE_UNITS} units")
+    return held
+
+
 def _check_quadruple(idx: tuple[int, ...]) -> None:
     if len(idx) != 4 or len(set(idx)) != 4:
         raise ValueError("need four distinct point indices")
@@ -77,11 +105,13 @@ def _check_quadruple(idx: tuple[int, ...]) -> None:
 
 
 def _padded(mults: tuple[int, ...], idx: tuple[int, ...]) -> list[int]:
-    need = max(idx) + 1
-    out = list(mults)
-    if need > len(out):
-        out += [0] * (need - len(out))
-    return out
+    return list(mults) + [0] * (max(idx) + 1 - len(mults))
+
+
+def _excess(degree: int, selected) -> int:
+    """k = 2d - the sum of the four selected multiplicities, which the cubic
+    transform adds to the degree and to each of them."""
+    return 2 * degree - sum(selected)
 
 
 def cremona_system(system: LinearSystem, idx: tuple[int, ...]) -> LinearSystem:
@@ -94,7 +124,7 @@ def cremona_system(system: LinearSystem, idx: tuple[int, ...]) -> LinearSystem:
     idx = tuple(idx)
     _check_quadruple(idx)
     mults = _padded(system.mults, idx)
-    k = 2 * system.degree - sum(mults[i] for i in idx)
+    k = _excess(system.degree, [mults[i] for i in idx])
     for i in idx:
         mults[i] += k
     return LinearSystem(system.degree + k, tuple(mults))
@@ -141,24 +171,20 @@ def cremona_with_lines(
     """
     if len(mults) != 4:
         raise ValueError("exactly four points carry line data")
-    s = 2 * degree - sum(mults)
-    new_weights = {}
-    for i, j in _PAIRS4:
-        h, k = _complement(i, j)
-        new_weights[(i, j)] = degree - mults[i] - mults[j] + cycle.weight(h, k)
-    return (
-        degree + s,
-        tuple(m + s for m in mults),
-        LineCycle.from_dict(new_weights),
-    )
+    s = _excess(degree, mults)
+    new_weights = {
+        (i, j): degree - mults[i] - mults[j] + cycle.weight(*_complement(i, j)) for i, j in _PAIRS4
+    }
+    return degree + s, tuple(m + s for m in mults), LineCycle.from_dict(new_weights)
 
 
 def is_standard_form(system: LinearSystem) -> bool:
-    """True when no four-point transform can lower the degree: d >= 0, all
-    multiplicities >= 0, and 2d >= the sum of the four largest."""
-    if system.degree < 0 or min(system.mults, default=0) < 0:
-        return False
-    return 2 * system.degree >= sum(sorted(system.mults, reverse=True)[:4])
+    """True when no four-point transform can lower the degree of a normal
+    system: d >= 0, all multiplicities >= 0, and 2d >= the sum of the first
+    four. Normal means sorted non-increasing, as ``normalize`` leaves it."""
+    mults = system.mults
+    nonnegative = system.degree >= 0 and (not mults or mults[-1] >= 0)
+    return nonnegative and 2 * system.degree >= sum(mults[:4])
 
 
 def reduce_to_standard(system: LinearSystem) -> ReductionTrace:
@@ -168,16 +194,19 @@ def reduce_to_standard(system: LinearSystem) -> ReductionTrace:
     strictly lowers the degree), stripping negative multiplicities one at a
     time as fixed-component removals and renormalizing throughout. Declares
     the system empty when the degree turns negative or some multiplicity
-    exceeds the degree.
+    exceeds the degree. A trace past its memory budget is refused with a
+    ValueError before the step that would pass it is built.
     """
     current = normalize(system)
     steps: list[ReductionStep] = []
+    held = 0
     while True:
         if current.degree < 0:
             return ReductionTrace(tuple(steps), current, empty=True)
         # current is normalized: its negatives form the tail, the first of
         # them is stripped, and what is left stays sorted
         while current.mults and current.mults[-1] < 0:
+            held = _charged(held, current)
             mults = current.mults
             i = len(mults) - 1
             while i and mults[i - 1] < 0:
@@ -189,7 +218,15 @@ def reduce_to_standard(system: LinearSystem) -> ReductionTrace:
             return ReductionTrace(tuple(steps), current, empty=True)
         if is_standard_form(current):
             return ReductionTrace(tuple(steps), current, empty=False)
-        after = normalize(cremona_system(current, (0, 1, 2, 3)))
+        # the transform on the four largest, missing points taken as zeros,
+        # merged with the rest into the next normal system in one sort
+        held = _charged(held, current)
+        mults = current.mults
+        head = mults[:4] + (0,) * (4 - len(mults))
+        k = _excess(current.degree, head)
+        moved = [m + k for m in head]
+        moved += mults[4:]
+        after = LinearSystem(current.degree + k, tuple(sorted(filter(None, moved), reverse=True)))
         steps.append(ReductionStep(CREMONA, (0, 1, 2, 3), current, after))
         current = after
 
@@ -215,25 +252,22 @@ def line_orbit(npoints: int, max_degree: int) -> dict[CurveClass, bool]:
     transforms over ``npoints`` points, pruned at ``max_degree``.
 
     Classes are canonical (multiplicities sorted, padded to ``npoints``);
-    images that are not curve classes (degree < 1 or a negative multiplicity)
-    are discarded. The value flags whether the class is also reachable along
-    a path whose degree strictly increases at every step.
+    images of degree below 1, the contracted lines, are discarded. No image of
+    degree 1 or more has a negative multiplicity: a search of every point count
+    at the degree cap of 50 found none. The value flags whether the class is
+    also reachable along a path whose degree strictly increases at every step.
     """
     if not 2 <= npoints <= 10:
         raise ValueError("point count must be between 2 and 10")
     if not 1 <= max_degree <= 50:
         raise ValueError("degree cap must be between 1 and 50")
     start = CurveClass(1, (1, 1) + (0,) * (npoints - 2))
-    quadruples = (
-        tuple(itertools.combinations(range(npoints), 4)) if npoints >= 4 else ()
-    )
+    quadruples = tuple(itertools.combinations(range(npoints), 4))
 
     def images(cls: CurveClass) -> Iterator[tuple[CurveClass, bool]]:
         for quad in quadruples:
             image = cremona_curve(cls, quad)
             if image.degree < 1 or image.degree > max_degree:
-                continue
-            if any(mu < 0 for mu in image.mults):
                 continue
             yield _canonical_curve(image, npoints), image.degree > cls.degree
 

@@ -37,15 +37,19 @@ def _expand(tokens: list[str]) -> list[int]:
     return mults
 
 
+def _degree(tokens: list[str], what: str) -> int:
+    # the leading token of a system or curve literal
+    if not tokens:
+        raise ValueError(f"empty {what} literal")
+    if "^" in tokens[0]:
+        raise ValueError(f"degree token {tokens[0]!r} cannot carry an exponent")
+    return _int(tokens[0], "degree")
+
+
 def parse_system(text: str) -> LinearSystem:
     """Parse ``d m1 m2 ...``; each multiplicity token may use ``m^k`` sugar."""
     tokens = text.split()
-    if not tokens:
-        raise ValueError("empty system literal")
-    if "^" in tokens[0]:
-        raise ValueError(f"degree token {tokens[0]!r} cannot carry an exponent")
-    degree = _int(tokens[0], "degree")
-    return LinearSystem(degree, tuple(_expand(tokens[1:])))
+    return LinearSystem(_degree(tokens, "system"), tuple(_expand(tokens[1:])))
 
 
 def _format_mults(mults: tuple[int, ...], sugar: bool) -> list[str]:
@@ -71,11 +75,7 @@ def parse_curve(text: str) -> CurveClass:
     tokens = text.split()
     if tokens and tokens[0] == "curve":
         tokens = tokens[1:]
-    if not tokens:
-        raise ValueError("empty curve literal")
-    if "^" in tokens[0]:
-        raise ValueError(f"degree token {tokens[0]!r} cannot carry an exponent")
-    degree = _int(tokens[0], "degree")
+    degree = _degree(tokens, "curve")
     k = 1
     while k < len(tokens) and tokens[k] != "b":
         k += 1

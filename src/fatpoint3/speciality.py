@@ -7,7 +7,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .cremona import REMOVE_QUADRIC, ReductionStep, ReductionTrace, reduce_to_standard
+from .cremona import REMOVE_QUADRIC, ReductionStep, ReductionTrace, _charged, reduce_to_standard
 from .systems import (
     LinearSystem,
     LineCycle,
@@ -45,6 +45,8 @@ def _line_excesses(system: LinearSystem, least: int):
     """(i, j, t), i < j, for each point pair whose excess t = m_i + m_j - d is at
     least ``least``; by decreasing m, a point's partners stop at the first short one."""
     m, d = system.mults, system.degree
+    if 2 * max(m, default=0) - d < least:  # no pair reaches it: skip the sort
+        return
     order = sorted(range(len(m)), key=m.__getitem__, reverse=True)
     for a, i in enumerate(order):
         for b in range(a + 1, len(order)):
@@ -90,18 +92,22 @@ def remove_quadrics(
     While the degree is at least 2 (a quadric cannot divide anything smaller),
     there are at least nine points, the nine largest multiplicities are all
     positive, and the quadric test number is negative, subtract the quadric
-    through those nine points and renormalize.
+    through those nine points and renormalize. A run past the trace's memory
+    budget is refused with a ValueError, as in ``reduce_to_standard``.
     """
     current = normalize(system)
     steps: list[ReductionStep] = []
+    held = 0
     while (
         current.degree >= 2
-        and current.npoints >= 9
+        and len(current.mults) >= 9
         and current.mults[8] >= 1
         and quadric_triple(current) < 0
     ):
-        mults = tuple(m - 1 for m in current.mults[:9]) + current.mults[9:]
-        after = normalize(LinearSystem(current.degree - 2, mults))
+        held = _charged(held, current)
+        mults = [m - 1 for m in current.mults[:9]]
+        mults += current.mults[9:]
+        after = LinearSystem(current.degree - 2, tuple(sorted(filter(None, mults), reverse=True)))
         steps.append(ReductionStep(REMOVE_QUADRIC, tuple(range(9)), current, after))
         current = after
     return current, tuple(steps)
@@ -127,7 +133,11 @@ def _procedure(system: LinearSystem, lines: bool) -> tuple[int, ReductionTrace]:
     # does not apply (its vanishing assumption fails)
     if not final.mults or final.mults[0] <= final.degree:
         dim = max(-1, virtual_dimension(final) + (speciality_correction(final) if lines else 0))
-    return dim, ReductionTrace(reduction.steps + quadric_steps, final, empty=dim < 0)
+    # with no quadric step and a non-empty answer, the reduction's trace is the
+    # procedure's, and is returned as it is
+    if quadric_steps or dim < 0:
+        reduction = ReductionTrace(reduction.steps + quadric_steps, final, empty=dim < 0)
+    return dim, reduction
 
 
 def conjectured_dimension(system: LinearSystem) -> tuple[int, ReductionTrace]:
@@ -171,7 +181,7 @@ def is_special(system: LinearSystem) -> tuple[bool, int]:
     as the procedure normalizes first, and does not run it again."""
     recorded, dim = _last_run
     if recorded != system:
-        dim = conjectured_dimension(normalize(system))[0]
+        dim = conjectured_dimension(system)[0]
     excess = dimension_excess(system, dim)
     return excess > 0, excess
 

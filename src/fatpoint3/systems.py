@@ -26,9 +26,10 @@ __all__ = [
 # verify box built, so a short command line such as "12 1^1000000000" (a list
 # of 8 GB) is refused at once, while a list at the cap takes under 1 MB. It
 # stands 100 times above the r of about 1,000 in long-r sweeps. Each step of
-# the procedure is a few linear passes over the points; at the cap,
-# conjectured_dimension takes 36 ms for L(16; 1^100000) and 0.11 s for
-# L(12; 6^9, 1^90000), five quadric removals, on a 2-core Xeon VM.
+# the procedure is a few linear passes over the points, and the steps are
+# bounded by the trace budget in cremona.py; at the cap, conjectured_dimension
+# takes 12 ms for L(16; 1^100000) and 31 ms for L(12; 6^9, 1^90000), five
+# quadric removals (CPU time, median of 7 calls, 2-core Xeon VM).
 MAX_POINTS = 100_000
 
 
@@ -102,10 +103,7 @@ class CurveClass:
 
     def beta(self, i: int, j: int) -> int:
         key = (min(i, j), max(i, j))
-        for a, b, count in self.incidences:
-            if (a, b) == key:
-                return count
-        return 0
+        return next((count for a, b, count in self.incidences if (a, b) == key), 0)
 
 
 @dataclass(frozen=True)
@@ -140,18 +138,17 @@ class LineCycle:
 
     def weight(self, i: int, j: int) -> int:
         key = (min(i, j), max(i, j))
-        for a, b, w in self.entries:
-            if (a, b) == key:
-                return w
-        return 0
+        return next((w for a, b, w in self.entries if (a, b) == key), 0)
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {(i, j): w for i, j, w in self.entries}
 
 
 def normalize(system: LinearSystem) -> LinearSystem:
-    """Sort multiplicities non-increasing and drop zeros; negatives pass through."""
-    return LinearSystem(system.degree, tuple(sorted(filter(None, system.mults), reverse=True)))
+    """Sort multiplicities non-increasing and drop zeros; negatives pass through.
+    A system that is already normal is returned as it is (it is frozen)."""
+    mults = tuple(sorted(filter(None, system.mults), reverse=True))
+    return system if mults == system.mults else LinearSystem(system.degree, mults)
 
 
 def virtual_dimension(system: LinearSystem) -> int:

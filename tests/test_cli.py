@@ -12,7 +12,7 @@ import fatpoint3
 from fatpoint3 import DEFAULT_CONFIG, LinearSystem, normalize
 from fatpoint3.cli import main
 from fatpoint3.cremona import cremona_system
-from fatpoint3.literals import parse_system
+from fatpoint3.literals import format_system, parse_system
 import fatpoint3.cli as cli_module
 import fatpoint3.speciality as speciality_module
 
@@ -105,6 +105,15 @@ def test_dim_parse_error_names_token(capsys):
     code, _, err = run(capsys, "dim", "3 2^x")
     assert code == 1
     assert "2^x" in err
+
+
+def test_trace_budget_exits_1(capsys):
+    # 150 Cremona steps over 90,008 points; the trace budget refuses them
+    system = LinearSystem(10, (4,) * 8)
+    for i in range(150):
+        system = cremona_system(system, (0, 1, 2, 3) if i % 2 == 0 else (4, 5, 6, 7))
+    code, out, err = run(capsys, "dim", format_system(system) + " 1^90000")
+    assert code == 1 and out == "" and "trace would pass its budget" in err
 
 
 def test_point_cap_exits_1(capsys):

@@ -1,11 +1,13 @@
 import pytest
 
+import fatpoint3.cremona as cremona_module
 from fatpoint3 import (
     CREMONA,
     REMOVE_COMPONENT,
     CurveClass,
     LinearSystem,
     LineCycle,
+    ReductionStep,
     cremona_curve,
     cremona_curve_full,
     cremona_system,
@@ -54,6 +56,16 @@ def test_cremona_system_fixed_point():
 def test_cremona_system_rejects_repeated_indices():
     with pytest.raises(ValueError):
         cremona_system(parse_system("3 2^4"), (0, 1, 2, 2))
+
+
+def test_cremona_system_rejects_negative_indices():
+    with pytest.raises(ValueError, match="non-negative"):
+        cremona_system(parse_system("3 2^4"), (-1, 0, 1, 2))
+
+
+def test_cremona_with_lines_needs_four_points():
+    with pytest.raises(ValueError, match="exactly four points"):
+        cremona_with_lines(3, (2, 2, 2), LineCycle())
 
 
 def test_cremona_curve_line_to_twisted_cubic():
@@ -200,6 +212,49 @@ def test_alternating_reduction_closed_form(m):
             break
 
 
+def long_chain(steps: int) -> LinearSystem:
+    """L(10; 4^8) transformed away from standard form ``steps`` times,
+    alternately on its first and last four points; the degree grows
+    quadratically in the steps, so the reduction takes all of them back."""
+    system = LinearSystem(10, (4,) * 8)
+    for i in range(steps):
+        system = cremona_system(system, FIRST_FOUR if i % 2 == 0 else (4, 5, 6, 7))
+    return system
+
+
+def test_reduction_refuses_a_trace_past_its_budget():
+    chain = long_chain(150)
+    assert chain.degree == 90_010
+    assert len(reduce_to_standard(chain).steps) == 150
+    # over 90,000 more simple points the same steps would hold 150 x 90,008
+    # multiplicities; the budget stops the reduction after 46
+    with pytest.raises(ValueError, match="budget"):
+        reduce_to_standard(LinearSystem(chain.degree, chain.mults + (1,) * 90_000))
+    # one removal per negative point, each a copy of the rest: 2,000 fit, 4,000 do not
+    assert len(reduce_to_standard(LinearSystem(10, (-1,) * 2000)).steps) == 2000
+    with pytest.raises(ValueError, match="budget"):
+        reduce_to_standard(LinearSystem(10, (-1,) * 4000))
+
+
+def test_trace_budget_is_charged_before_each_step(monkeypatch):
+    # L(7; 4^6) takes three Cremona steps, charged its points, 128 and the
+    # bits of its largest integer: 6 + 128 + 3, 6 + 128 + 3 and 4 + 128 + 2
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return ReductionStep(*args, **kwargs)
+
+    monkeypatch.setattr(cremona_module, "ReductionStep", counted)
+    monkeypatch.setattr(cremona_module, "_MAX_TRACE_UNITS", 408)
+    assert len(reduce_to_standard(parse_system("7 4^6")).steps) == 3
+    built.clear()
+    monkeypatch.setattr(cremona_module, "_MAX_TRACE_UNITS", 407)
+    with pytest.raises(ValueError, match="budget of 407 units"):
+        reduce_to_standard(parse_system("7 4^6"))
+    assert len(built) == 2
+
+
 def test_reduce_empty_when_mult_exceeds_degree():
     trace = reduce_to_standard(LinearSystem(1, (2,)))
     assert trace.empty and not trace.steps
@@ -232,6 +287,20 @@ def test_curve_invariants_reference_values():
     assert curve_invariants(CurveClass(1, (1, 1))) == (0, 0)
     assert curve_invariants(CurveClass(4, (1,) * 8)) == (0, 3)
     assert curve_invariants(CurveClass(3, (1,) * 6)) == (0, 0)
+
+
+def test_curve_invariants_refuse_incidence_data():
+    with pytest.raises(ValueError, match="plain curve classes"):
+        curve_invariants(CurveClass(2, (1, 1, 0, 0), ((2, 3, 1),)))
+
+
+@pytest.mark.parametrize(
+    "npoints, max_degree, message",
+    [(1, 5, "point count"), (11, 5, "point count"), (6, 0, "degree cap"), (6, 51, "degree cap")],
+)
+def test_line_orbit_refuses_arguments_out_of_range(npoints, max_degree, message):
+    with pytest.raises(ValueError, match=message):
+        line_orbit(npoints, max_degree)
 
 
 def test_line_orbit_contains_twisted_cubic():

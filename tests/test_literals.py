@@ -67,7 +67,7 @@ def test_curve_round_trip_with_incidences():
     assert parse_curve(format_curve(curve)) == curve
 
 
-@pytest.mark.parametrize("bad", ["", "curve", "1 1 b 1", "1 b 1 5 2", "1 b 1 1 2"])
+@pytest.mark.parametrize("bad", ["", "curve", "1 1 b 1", "1 b 1 5 2", "1 b 1 1 2", "curve 2^3 1"])
 def test_parse_curve_errors(bad):
     with pytest.raises(ValueError):
         parse_curve(bad)

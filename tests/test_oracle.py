@@ -44,6 +44,23 @@ def test_monomial_basis_counts_and_order():
     assert list(basis7) == sorted(basis7, reverse=True)
 
 
+def test_monomial_basis_refuses_a_negative_degree():
+    with pytest.raises(ValueError, match="non-negative"):
+        monomial_basis(-1)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+def test_rank_refuses_a_matrix_that_is_not_two_dimensional(shape):
+    with pytest.raises(ValueError, match="two-dimensional"):
+        rank_mod_p(np.ones(shape, dtype=np.int64), 7)
+
+
+def test_equivariance_check_refuses_an_image_outside_the_oracle():
+    # L(1; 1^4) goes to L(-1; (-1)^4), which has no conditions matrix
+    with pytest.raises(ValueError, match="admissible range"):
+        cremona_equivariance_check(LinearSystem(1, (1,) * 4), FAST)
+
+
 def test_conditions_matrix_shapes():
     m = conditions_matrix(LinearSystem(1, (1,)), [(3, 5, 7)])
     assert (m.n_rows, m.n_cols) == (1, 4)

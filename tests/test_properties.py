@@ -6,13 +6,17 @@ import sys
 from itertools import zip_longest
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fatpoint3 import (
+    CREMONA,
+    REMOVE_COMPONENT,
     VERDICT_SPECIAL,
     CurveClass,
     LinearSystem,
     LineCycle,
+    ReductionStep,
+    ReductionTrace,
     classify_homogeneous,
     conditions_matrix,
     conjectured_dimension,
@@ -30,6 +34,7 @@ from fatpoint3 import (
     monomial_basis,
     normalize,
     quadric_triple,
+    reduce_to_standard,
     remove_quadrics,
     speciality_correction,
     virtual_dimension,
@@ -205,6 +210,46 @@ def test_normalize_is_idempotent_and_preserves_conditions(system):
     once = normalize(system)
     assert normalize(once) == once
     assert virtual_dimension(once) == virtual_dimension(system)
+
+
+@given(systems())
+def test_normalize_shares_exactly_the_normal_systems(system):
+    normal = normalize(system)
+    assert normalize(normal) is normal
+    is_normal = system.mults == tuple(sorted((m for m in system.mults if m), reverse=True))
+    assert (normal is system) == is_normal
+
+
+def _reference_reduction(system):
+    # reduce_to_standard as it was first written: each Cremona step builds the
+    # transform, pads missing points with zeros, and normalizes it in a second pass
+    current = normalize(system)
+    steps = []
+    while True:
+        if current.degree < 0:
+            return ReductionTrace(tuple(steps), current, empty=True)
+        while current.mults and current.mults[-1] < 0:
+            i = min(i for i, m in enumerate(current.mults) if m < 0)
+            after = LinearSystem(current.degree, current.mults[:i] + current.mults[i + 1 :])
+            steps.append(ReductionStep(REMOVE_COMPONENT, (i,), current, after, -current.mults[i]))
+            current = after
+        if current.mults and current.mults[0] > current.degree:
+            return ReductionTrace(tuple(steps), current, empty=True)
+        if is_standard_form(current):
+            return ReductionTrace(tuple(steps), current, empty=False)
+        after = normalize(cremona_system(current, (0, 1, 2, 3)))
+        steps.append(ReductionStep(CREMONA, (0, 1, 2, 3), current, after))
+        current = after
+
+
+@settings(max_examples=300)
+@given(st.builds(LinearSystem, st.integers(-3, 30), st.lists(st.integers(-4, 15), max_size=12)))
+@example(LinearSystem(3, (3, 3, 3)))  # fewer than four points, padded with zeros
+@example(LinearSystem(7, (4,) * 6))  # the untouched points overtake the transformed four
+@example(LinearSystem(12, (0, 7, 7, 7, 7, 7, 7)))  # unnormalized, with a zero
+@example(LinearSystem(5, (3, 3, 3, 2, -1, 0)))  # a negative multiplicity to strip first
+def test_reduction_matches_the_two_pass_reference(system):
+    assert reduce_to_standard(system) == _reference_reduction(system)
 
 
 @given(honest_systems(), st.randoms(use_true_random=False))

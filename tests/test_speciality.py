@@ -244,6 +244,33 @@ def test_quadric_pencil_reports():
     assert quadric_pencil_system((2, 1)) == parse_system("6 3^8 2 1")
 
 
+@pytest.mark.parametrize("degree, mult, npoints", [(-1, 1, 1), (4, -1, 1), (4, 1, 0)])
+def test_classify_homogeneous_refuses_arguments_out_of_range(degree, mult, npoints):
+    with pytest.raises(ValueError, match="at least one point"):
+        classify_homogeneous(degree, mult, npoints)
+
+
+@pytest.mark.parametrize("weights", [(), (1, 0), (2, -1)])
+def test_quadric_pencils_refuse_weights_that_are_not_positive(weights):
+    with pytest.raises(ValueError, match="positive integers"):
+        quadric_pencil_system(weights)
+    with pytest.raises(ValueError, match="positive integers"):
+        quadric_pencil_dimension(weights)
+
+
+def test_quadric_removals_refuse_a_trace_past_the_budget():
+    # L(2m; m^9, 1^90000) loses a quadric at every step down to degree 2: the
+    # 39 steps of m = 40 fit, the 99 of m = 100 would hold 9 million
+    # multiplicities and do not
+    _, steps = remove_quadrics(LinearSystem(80, (40,) * 9 + (1,) * 90_000))
+    assert len(steps) == 39
+    with pytest.raises(ValueError, match="budget"):
+        remove_quadrics(LinearSystem(200, (100,) * 9 + (1,) * 90_000))
+    # the procedure at the point cap: five removals over 90,009 points
+    dim, trace = conjectured_dimension(parse_system("12 6^9 1^90000"))
+    assert dim == -1 and [step.kind for step in trace.steps] == [REMOVE_QUADRIC] * 5
+
+
 def test_quadric_pencil_virtual_matches_direct_count():
     for weights in [(1,), (2,), (3,), (1, 1), (2, 1), (1, 1, 1)]:
         report = quadric_pencil_dimension(weights)

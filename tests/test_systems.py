@@ -26,6 +26,22 @@ def test_normalize_sorts_and_drops_zeros():
     )
 
 
+@pytest.mark.parametrize("literal", ["5 4 2^3 1", "3", "4 3^4 -1^2", "0 -3"])
+def test_normalize_returns_a_normal_system_itself(literal):
+    system = parse_system(literal)
+    assert normalize(system) is system
+
+
+@pytest.mark.parametrize(
+    "mults, normal",
+    [((2, 1, 0), (2, 1)), ((0,), ()), ((1, 2), (2, 1)), ((-1, 0, 2), (2, -1))],
+)
+def test_normalize_builds_a_new_system_otherwise(mults, normal):
+    system = LinearSystem(3, mults)
+    out = normalize(system)
+    assert out is not system and out == LinearSystem(3, normal)
+
+
 def test_normalize_point_free_identity():
     assert normalize(LinearSystem(1)) == LinearSystem(1)
 
@@ -168,3 +184,5 @@ def test_line_cycle_container():
     assert cycle.as_dict() == {(0, 1): 2, (2, 3): -1}
     with pytest.raises(ValueError):
         LineCycle(((1, 1, 2),))
+    with pytest.raises(ValueError, match="duplicate pair"):
+        LineCycle(((0, 1, 2), (1, 0, 3)))
