@@ -26,7 +26,7 @@ from .oracle import (
     verify_homogeneous,
 )
 from .speciality import conjectured_dimension
-from .systems import CurveClass, dimension_excess, expected_dimension, normalize, virtual_dimension
+from .systems import CurveClass, dimension_excess, normalize, virtual_dimension
 
 __all__ = ["main", "build_parser"]
 
@@ -118,15 +118,16 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_dim(args) -> int:
     system = normalize(parse_system(args.system))
     dim, trace = conjectured_dimension(system)
-    expected = expected_dimension(system)
-    excess = dimension_excess(system, dim)
+    virtual = virtual_dimension(system)  # one pass over the points
+    expected = max(virtual, -1)
+    excess = dimension_excess(system, dim, expected)
     verdict = "empty" if dim < 0 else "special" if excess > 0 else "non-special"
     if args.json:
         payload = {
             "system": format_system(system),
             "conjectured_dimension": dim,
             "expected_dimension": expected,
-            "virtual_dimension": virtual_dimension(system),
+            "virtual_dimension": virtual,
             "verdict": verdict,
             "speciality": excess,
             "empty": dim < 0,

@@ -12,9 +12,12 @@ and the rank engine takes out before eliminating. The dimension is the
 column count minus the best rank across seeds, minus one. A rank equal to
 min(rows, cols) cannot be exceeded by any sample, so it certifies the answer,
 and no sampled dimension falls below the generic one, so a dimension equal to
-the proved ``dimension_lower_bound`` is exact too: a grid or window check runs
-no further seed on such a cell, while a lone system runs every seed, so its
-report shows whether the seeds agree.
+the proved ``dimension_lower_bound`` is exact too, and so is the rank at at
+most four linearly independent points: a grid or window check runs no further
+seed on such a cell, while a lone system runs every seed, so its report shows
+whether the seeds agree. The grid also settles, with no elimination, every
+cell of multiplicity above the degree, and every cell whose rows lie among
+rows already found independent.
 
 numpy is imported inside the functions that compute with it, not with this
 module, so importing the package and running the procedure (``dim``,
@@ -581,9 +584,25 @@ class OracleReport:
         return len(set(self.ranks)) == 1
 
 
+def _independent(points, prime: int) -> bool:
+    """Whether the points, as vectors of F_p^4, are linearly independent: a
+    Gaussian elimination of at most four rows in plain Python, outside the
+    rank engine, whose calls count eliminations."""
+    rows = [list(point) for point in points]
+    for i, row in enumerate(rows):
+        col = next((j for j, x in enumerate(row) if x % prime), None)
+        if col is None:
+            return False
+        inv = pow(row[col], -1, prime)
+        for other in rows[i + 1 :]:
+            f = other[col] * inv % prime
+            other[:] = [(x - f * y) % prime for x, y in zip(other, row)]
+    return True
+
+
 def _cell_reports(
     system: LinearSystem, config: OracleConfig, cells, *, stop_certified: bool = True,
-    assemble=None,
+    assemble=None, full_rank: bool = False,
 ) -> dict[int, OracleReport]:
     """Reports of the prefix systems L(d; m_1, ..., m_k) for each k in
     ``cells``: the one place where seed ranks become a dimension, an h1 and a
@@ -603,7 +622,9 @@ def _cell_reports(
     below the bound is a fault, and raises). Later seeds then run only up to
     the largest open cell, and stop when none is left. Without it every seed
     runs on every cell. Seeds that disagree on a cell warn, and the best rank
-    is taken.
+    is taken. ``full_rank`` says that a certificate of the caller proves every
+    cell's first-seed rank to be min(rows, cols): the cells take that rank
+    and close, with nothing assembled or eliminated.
     """
     degree, prime = system.degree, config.prime
     n_cols = _checked_shape(system)[1]
@@ -612,7 +633,7 @@ def _cell_reports(
     ranks: dict[int, list[int]] = {k: [] for k in full}
     bounds: dict[int, int] = {}  # computed once, for a cell open after a seed
 
-    def still_open(k: int) -> bool:
+    def still_open(k: int, seed: int) -> bool:
         best = max(ranks[k])
         if best == full[k]:
             return False
@@ -624,7 +645,18 @@ def _cell_reports(
                 f"oracle dimension {dimension} of degree {degree}, mults {system.mults[:k]} "
                 f"lies below the proved lower bound {bounds[k]}: one of the two routes is at fault"
             )
-        return dimension > bounds[k]
+        if dimension == bounds[k]:
+            return False
+        # Independent points certify: PGL(4, F_p) moves k <= 4 independent
+        # points to the first k vertices, and the rank stays, since for p > d
+        # a point's rows cut out (I_x^m)_d. There every row is a unit row with
+        # entry a_1! a_2! a_3!, nonzero mod p, so the rank is the rank over Q,
+        # which is generic: the set of generic configurations is open, dense
+        # and invariant, so it meets and contains the one open orbit of k <= 4
+        # independent points. Not at five: the frame is one orbit over F_p,
+        # but its rank mod p can fall below the rank over Q. Sampling is
+        # prefix-stable, so these are the seed's points whoever assembled.
+        return k > 4 or not _independent(_sample_points(4, seed, prime, config.point_mode)[:k], prime)
 
     if assemble is None:
         def assemble(seed: int, k: int) -> np.ndarray:
@@ -635,19 +667,20 @@ def _cell_reports(
     for seed in config.seeds:
         if not open_cells:
             break
-        entries = assemble(seed, open_cells[-1])
-        # one open cell takes the whole matrix's rank through rank_mod_p, where
-        # bench/test_bench.py::test_traced_run_checks_answers_not_the_oracle_split
-        # counts lone eliminations; ROADMAP item 1 changes that test
-        if len(open_cells) == 1:
-            got = [rank_mod_p(entries, prime)]
+        if full_rank:
+            got = [full[k] for k in open_cells]
+        elif len(open_cells) == 1:
+            # one open cell takes the whole matrix's rank through rank_mod_p, where
+            # bench/test_bench.py::test_traced_run_checks_answers_not_the_oracle_split
+            # counts lone eliminations; ROADMAP item 1 changes that test
+            got = [rank_mod_p(assemble(seed, open_cells[-1]), prime)]
         else:
-            pivots = _rank_profile(entries.T, prime)
+            pivots = _rank_profile(assemble(seed, open_cells[-1]).T, prime)
             got = [bisect.bisect_left(pivots, offsets[k]) for k in open_cells]
         for k, rank in zip(open_cells, got):
             ranks[k].append(rank)
         if stop_certified:
-            open_cells = [k for k in open_cells if still_open(k)]
+            open_cells = [k for k in open_cells if still_open(k, seed)]
     reports = {}
     for k, seed_ranks in ranks.items():
         prefix = LinearSystem(degree, system.mults[:k])
@@ -795,13 +828,25 @@ def verify_grid(
         # each seed's points are sampled and assembled once per degree, and
         # only this degree's blocks are held
         blocks = _degree_blocks(d, m_max, r_max, config)
-        for m in range(1, m_max + 1):
-            # one elimination per seed gives every r <= r_max
-            reports = _cell_reports(
+        chains = {}
+        rows_independent = False
+        for m in range(m_max, 0, -1):
+            # One elimination per seed gives every r <= r_max, and two
+            # certificates prove a whole chain of full rank with none. A point
+            # of multiplicity m > d imposes all C(d+3, 3) conditions, as
+            # Taylor expansion at a point is invertible for p > d. At one seed
+            # the rows of L(d; m^r) are among those of L(d; m'^r') for m <= m'
+            # and r <= r' (see _degree_blocks), so once a larger m's r_max
+            # cell has independent rows at the first seed, every cell of a
+            # smaller m has too.
+            chains[m] = _cell_reports(
                 LinearSystem(d, (m,) * r_max), config, range(1, r_max + 1),
-                assemble=functools.partial(blocks, mult=m),
+                assemble=functools.partial(blocks, mult=m), full_rank=m > d or rows_independent,
             )
-            for r, report in reports.items():
+            top = chains[m][r_max]
+            rows_independent = top.ranks[0] == top.n_rows
+        for m in range(1, m_max + 1):
+            for r, report in chains[m].items():
                 conjectured = conjectured_dimension(report.system)[0]
                 rows.append(GridRow(d, m, r, conjectured, report.dimension))
     return GridReport(d_max, m_max, r_max, config.prime, config.seeds, tuple(rows))

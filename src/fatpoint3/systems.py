@@ -163,10 +163,13 @@ def expected_dimension(system: LinearSystem) -> int:
     return max(virtual_dimension(system), -1)
 
 
-def dimension_excess(system: LinearSystem, dim: int) -> int:
-    """How far a dimension ``dim`` of the system exceeds the expected one;
-    an empty system (dim < 0) has no excess."""
-    return dim - expected_dimension(system) if dim >= 0 else 0
+def dimension_excess(system: LinearSystem, dim: int, expected: int | None = None) -> int:
+    """How far a dimension ``dim`` of the system exceeds the expected one,
+    which a caller that has it passes as ``expected``; an empty system
+    (dim < 0) has no excess."""
+    if dim < 0:
+        return 0
+    return dim - (expected_dimension(system) if expected is None else expected)
 
 
 def intersect_curve(system: LinearSystem, curve: CurveClass) -> int:

@@ -66,6 +66,26 @@ def test_dim_runs_the_procedure_once(capsys, monkeypatch, argv):
     assert code == 0 and len(runs) == 1
 
 
+@pytest.mark.parametrize("argv", [["12 7^6"], ["10 6^5", "--json"], ["3 4", "--trace"]])
+def test_dim_counts_the_virtual_dimension_once(capsys, monkeypatch, argv):
+    # the expected dimension, the excess and the JSON field share one pass
+    # over the points; the procedure's own closing count is on its final system
+    import fatpoint3.systems as systems_module
+
+    system = normalize(parse_system(argv[0]))
+    passes = []
+    virtual_dimension = systems_module.virtual_dimension
+
+    def counted(other):
+        passes.append(other)
+        return virtual_dimension(other)
+
+    for module in (systems_module, cli_module):
+        monkeypatch.setattr(module, "virtual_dimension", counted)
+    code, _, _ = run(capsys, "dim", *argv)
+    assert code == 0 and passes == [system]
+
+
 def test_dim_point_free(capsys):
     code, out, _ = run(capsys, "dim", "0")
     assert code == 0 and "conjectured dimension: 0" in out

@@ -305,9 +305,10 @@ def test_certified_first_seed_stops_the_seed_loop(monkeypatch):
 
     monkeypatch.setattr(oracle_module, "_rank_profile", counting)
     three = OracleConfig(seeds=(1, 2, 3))
-    # simple points are always independent: one elimination per degree
+    # simple points are always independent: one elimination per degree, and
+    # none at d = 0, where a simple point already imposes every condition
     assert verify_grid(3, 1, 6, three).mismatches == ()
-    assert len(calls) == 4
+    assert len(calls) == 3
     # of L(4; 2^r), r <= 10, only r = 9 is special (rank 34 of 35 columns),
     # and its dimension 0 meets the proved lower bound (the quadric through
     # the nine points), so seed 1 closes every cell: one elimination
@@ -318,14 +319,15 @@ def test_certified_first_seed_stops_the_seed_loop(monkeypatch):
     assert ranks == {**{r: [4 * r] for r in range(1, 9)}, 9: [34], 10: [35]}
     assert not reports[9].certified  # certified still means full rank
     # L(2; 2^2), the quadric cones with the line through both points as
-    # vertex, is line-special: its bound 1 stays below its dimension 2, so
-    # later seeds still run, and eliminate just its 8 x 10 matrix, while
-    # L(2; 2^3) meets its bound (a Cremona step) and closes after seed 1
+    # vertex, is line-special: its bound 1 stays below its dimension 2, but
+    # its two points are independent, so seed 1's rank is the generic one,
+    # while L(2; 2^3) meets its bound (a Cremona step): every cell closes
+    # after seed 1
     calls.clear()
     reports = oracle_module._cell_reports(LinearSystem(2, (2,) * 4), three, range(1, 5))
-    assert calls == [(10, 16), (8, 10), (8, 10)]
+    assert calls == [(10, 16)]
     ranks = {r: list(rep.ranks) for r, rep in reports.items()}
-    assert ranks == {1: [4], 2: [7, 7, 7], 3: [9], 4: [10]}
+    assert ranks == {1: [4], 2: [7], 3: [9], 4: [10]}
     # a lone system runs every seed, certified or not, and reports each rank
     calls.clear()
     report = oracle_report(parse_system("2 1^9"), three)
@@ -638,11 +640,49 @@ def test_the_grid_does_each_piece_of_oracle_work_once(monkeypatch):
     spy("conditions_matrix", "assemblies")
     spy("dimension_lower_bound", "bounds")
     assert verify_grid(10, 4, 10).mismatches == ()
-    # one elimination per (d, m) at seed 1, 44 of them, and two later seeds
-    # on each of six line-special cells the bound cannot close; one assembly
-    # per degree at seed 1, and one per later seed at the five degrees 2-6
-    # that still have an open cell; a bound for each cell open after seed 1
-    assert counts == {"eliminations": 56, "assemblies": 21, "bounds": 18}
+    # one elimination at seed 1 per (d, m) that no certificate settles, and
+    # no later seed: the six line-special cells the bound cannot close have
+    # r <= 3 independent points. m > d settles 10 chains, and a chain whose
+    # r = 10 cell has independent rows settles every smaller m at its degree,
+    # 12 more; one assembly per degree with an eliminated chain; a bound for
+    # each cell open after seed 1
+    assert counts == {"eliminations": 22, "assemblies": 10, "bounds": 18}
+
+
+@pytest.mark.parametrize("mode", [ALL_RANDOM, FUNDAMENTAL])
+@pytest.mark.parametrize("prime", [oracle_module.DEFAULT_PRIME, 101])
+def test_grid_cells_equal_lone_oracle_dimensions(mode, prime):
+    # the grid's certificates (m > d, rows contained in independent rows,
+    # independent points) settle cells without eliminating them; each must
+    # give the dimension a lone run of every seed gives
+    config = OracleConfig(prime=prime, seeds=(1, 2, 3), point_mode=mode)
+    report = verify_grid(6, 3, 8, config)
+    assert len(report.rows) == 7 * 3 * 8
+    for row in report.rows:
+        system = LinearSystem(row.degree, (row.mult,) * row.npoints)
+        assert row.oracle == oracle_report(system, config).dimension, row
+    # m = d is not empty: the conics double at a point, cones over a conic
+    assert [row.oracle for row in report.rows if (row.degree, row.mult) == (2, 2)][0] == 5
+
+
+def test_independent_points_certify_four_points_not_five(monkeypatch):
+    # seed 1 puts the fifth point of L(4; 2^5) on the line through the first
+    # two vertices; a quartic double at three points of a line contains it,
+    # so seed 1's rank is 19 against a generic 20, although its first four
+    # points are independent
+    sample = oracle_module._sample_points
+
+    def planted(npoints, seed, prime, mode):
+        points = sample(npoints, seed, prime, mode)
+        if seed == 1 and npoints >= 5:
+            points[4] = (1, 1, 0, 0)
+        return points
+
+    monkeypatch.setattr(oracle_module, "_sample_points", planted)
+    with pytest.warns(SeedDisagreement, match=r"ranks \[19, 20\]"):
+        reports = oracle_module._cell_reports(LinearSystem(4, (2,) * 5), FAST, range(1, 6))
+    assert reports[5].ranks == (19, 20) and reports[5].dimension == 14
+    assert all(reports[r].ranks == (4 * r,) for r in range(1, 5))
 
 
 @pytest.mark.parametrize("mode", [ALL_RANDOM, FUNDAMENTAL])
