@@ -10,14 +10,19 @@ no generality (four general points of P^3 are projectively equivalent to them)
 and makes their conditions scaled unit rows, which assembly writes directly
 and the rank engine takes out before eliminating. The dimension is the
 column count minus the best rank across seeds, minus one. A rank equal to
-min(rows, cols) cannot be exceeded by any sample, so it certifies the answer,
-and no sampled dimension falls below the generic one, so a dimension equal to
-the proved ``dimension_lower_bound`` is exact too, and so is the rank at at
-most four linearly independent points: a grid or window check runs no further
-seed on such a cell, while a lone system runs every seed, so its report shows
-whether the seeds agree. The grid also settles, with no elimination, every
-cell of multiplicity above the degree, and every cell whose rows lie among
-rows already found independent.
+min(rows, cols) cannot be exceeded by any sample, so it certifies the answer.
+
+Two loops run the seeds, and one helper, ``_report``, turns their ranks into
+a report. A lone system runs every seed, one assembly and one elimination
+each, so its report shows whether the seeds agree. ``verify_grid`` and
+``verify_homogeneous`` walk the homogeneous cells L(d; m^r) of one degree:
+each seed's points are assembled once, every cell is cut from that matrix,
+and a cell runs no further seed once it is certified, once its dimension
+meets the proved ``dimension_lower_bound`` (no sampled dimension falls below
+the generic one), or once it has at most four linearly independent points.
+The walk also settles, with no elimination, every cell of multiplicity above
+the degree, and every cell whose rows lie among rows already found
+independent.
 
 numpy is imported inside the functions that compute with it, not with this
 module, so importing the package and running the procedure (``dim``,
@@ -51,6 +56,7 @@ from .speciality import (
     dimension_lower_bound,
 )
 from .systems import (
+    MAX_POINTS,
     LinearSystem,
     check_point_count,
     dimension_excess,
@@ -362,17 +368,6 @@ class ConditionsMatrix:
     entries: np.ndarray
     prime: int
 
-    @property
-    def n_rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.entries.shape[1]
-
-    def rank(self) -> int:
-        return rank_mod_p(self.entries, self.prime)
-
 
 def _projective_key(point, prime: int) -> tuple[int, int, int, int]:
     """A point given by 3 affine (chart x0 = 1) or 4 homogeneous coordinates,
@@ -600,116 +595,37 @@ def _independent(points, prime: int) -> bool:
     return True
 
 
-def _cell_reports(
-    system: LinearSystem, config: OracleConfig, cells, *, stop_certified: bool = True,
-    assemble=None, full_rank: bool = False,
-) -> dict[int, OracleReport]:
-    """Reports of the prefix systems L(d; m_1, ..., m_k) for each k in
-    ``cells``: the one place where seed ranks become a dimension, an h1 and a
-    certificate, for lone systems, grid cells and window cells alike.
-
-    Sampling is prefix-stable, so the first k of a seed's points are the
-    points a lone k-point call would sample, and one elimination of the
-    transposed matrix gives every prefix rank: a pivot column of A^T is a row
-    of A independent of the rows before it. ``assemble(seed, k)``, if given,
-    returns the conditions matrix of the k-point prefix at those points, in
-    place of sampling and assembling it here.
-
-    A cell is certified once its best rank reaches min(rows, cols), which no
-    other seed can exceed. With ``stop_certified``, a cell also closes once
-    its dimension reaches ``dimension_lower_bound``: a sampled dimension never
-    falls below the generic one, so no other seed can lower it further (one
-    below the bound is a fault, and raises). Later seeds then run only up to
-    the largest open cell, and stop when none is left. Without it every seed
-    runs on every cell. Seeds that disagree on a cell warn, and the best rank
-    is taken. ``full_rank`` says that a certificate of the caller proves every
-    cell's first-seed rank to be min(rows, cols): the cells take that rank
-    and close, with nothing assembled or eliminated.
-    """
-    degree, prime = system.degree, config.prime
-    n_cols = _checked_shape(system)[1]
-    offsets = list(itertools.accumulate((_point_rows(m, degree) for m in system.mults), initial=0))
-    full = {k: min(offsets[k], n_cols) for k in cells}  # the certifying rank
-    ranks: dict[int, list[int]] = {k: [] for k in full}
-    bounds: dict[int, int] = {}  # computed once, for a cell open after a seed
-
-    def still_open(k: int, seed: int) -> bool:
-        best = max(ranks[k])
-        if best == full[k]:
-            return False
-        if k not in bounds:
-            bounds[k] = dimension_lower_bound(LinearSystem(degree, system.mults[:k]))
-        dimension = n_cols - best - 1
-        if dimension < bounds[k]:
-            raise RuntimeError(
-                f"oracle dimension {dimension} of degree {degree}, mults {system.mults[:k]} "
-                f"lies below the proved lower bound {bounds[k]}: one of the two routes is at fault"
-            )
-        if dimension == bounds[k]:
-            return False
-        # Independent points certify: PGL(4, F_p) moves k <= 4 independent
-        # points to the first k vertices, and the rank stays, since for p > d
-        # a point's rows cut out (I_x^m)_d. There every row is a unit row with
-        # entry a_1! a_2! a_3!, nonzero mod p, so the rank is the rank over Q,
-        # which is generic: the set of generic configurations is open, dense
-        # and invariant, so it meets and contains the one open orbit of k <= 4
-        # independent points. Not at five: the frame is one orbit over F_p,
-        # but its rank mod p can fall below the rank over Q. Sampling is
-        # prefix-stable, so these are the seed's points whoever assembled.
-        return k > 4 or not _independent(_sample_points(4, seed, prime, config.point_mode)[:k], prime)
-
-    if assemble is None:
-        def assemble(seed: int, k: int) -> np.ndarray:
-            points = _sample_points(k, seed, prime, config.point_mode)
-            return conditions_matrix(LinearSystem(degree, system.mults[:k]), points, prime).entries
-
-    open_cells = sorted(ranks)
-    for seed in config.seeds:
-        if not open_cells:
-            break
-        if full_rank:
-            got = [full[k] for k in open_cells]
-        elif len(open_cells) == 1:
-            # one open cell takes the whole matrix's rank through rank_mod_p, where
-            # bench/test_bench.py::test_traced_run_checks_answers_not_the_oracle_split
-            # counts lone eliminations; ROADMAP item 1 changes that test
-            got = [rank_mod_p(assemble(seed, open_cells[-1]), prime)]
-        else:
-            pivots = _rank_profile(assemble(seed, open_cells[-1]).T, prime)
-            got = [bisect.bisect_left(pivots, offsets[k]) for k in open_cells]
-        for k, rank in zip(open_cells, got):
-            ranks[k].append(rank)
-        if stop_certified:
-            open_cells = [k for k in open_cells if still_open(k, seed)]
-    reports = {}
-    for k, seed_ranks in ranks.items():
-        prefix = LinearSystem(degree, system.mults[:k])
-        if len(set(seed_ranks)) > 1:
-            warnings.warn(
-                f"ranks {seed_ranks} disagree across seeds for degree {degree}, "
-                f"mults {prefix.mults}; using the maximum", SeedDisagreement,
-                # past _seed_ranks and the public entry that calls it, or past
-                # verify_grid or verify_homogeneous, to the caller's line
-                stacklevel=3 if stop_certified else 4,
-            )
-        best = max(seed_ranks)
-        dimension = n_cols - best - 1
-        reports[k] = OracleReport(
-            prefix, prime, config.seeds[: len(seed_ranks)], config.point_mode,
-            offsets[k], n_cols, tuple(seed_ranks),
-            dimension, dimension_excess(prefix, dimension), best == full[k],
+def _report(
+    system: LinearSystem, config: OracleConfig, ranks: list[int], n_rows: int, n_cols: int
+) -> OracleReport:
+    """The one place where seed ranks become a report: the best rank gives the
+    dimension and h1, and certifies them at min(rows, cols). Seeds that
+    disagree warn, and the best rank is taken."""
+    if len(set(ranks)) > 1:
+        warnings.warn(
+            f"ranks {ranks} disagree across seeds for degree {system.degree}, "
+            f"mults {system.mults}; using the maximum", SeedDisagreement,
+            # past this helper, the loop that calls it and the public entry
+            # that runs the loop, to the caller's line
+            stacklevel=4,
         )
-    return reports
+    best = max(ranks)
+    dimension = n_cols - best - 1
+    return OracleReport(
+        system, config.prime, config.seeds[: len(ranks)], config.point_mode, n_rows, n_cols,
+        tuple(ranks), dimension, dimension_excess(system, dimension), best == min(n_rows, n_cols),
+    )
 
 
 def _seed_ranks(system: LinearSystem, config: OracleConfig) -> OracleReport:
-    """The lone system's report, with the rank of every seed."""
-    # every seed runs, even after a certificate, as
-    # bench/test_bench.py::test_oracle_split_accounts_for_the_oracle_call expects
-    # two eliminations from a certified lone system; the name stays, as
-    # test_traced_run_checks_answers_not_the_oracle_split replaces it by name.
-    # ROADMAP item 1 changes both tests.
-    return _cell_reports(system, config, (system.npoints,), stop_certified=False)[system.npoints]
+    """The lone system's report. Every seed runs, one assembly and one
+    elimination each, so the report shows whether the seeds agree."""
+    n_rows, n_cols = _checked_shape(system)
+    ranks = []
+    for seed in config.seeds:
+        points = _sample_points(system.npoints, seed, config.prime, config.point_mode)
+        ranks.append(rank_mod_p(conditions_matrix(system, points, config.prime).entries, config.prime))
+    return _report(system, config, ranks, n_rows, n_cols)
 
 
 def oracle_report(system: LinearSystem, config: OracleConfig = DEFAULT_CONFIG) -> OracleReport:
@@ -791,26 +707,98 @@ class GridReport:
         }
 
 
-def _degree_blocks(degree: int, m_max: int, r_max: int, config: OracleConfig):
-    """``assemble(seed, k, mult)``: the conditions matrix of L(d; mult^k) at
-    the seed's first k points, cut from one assembly of L(d; m_max^r_max) per
-    seed, made on the first request.
+def _cell_reports(
+    degree: int, mults, r_max: int, config: OracleConfig, cells=None
+) -> dict[tuple[int, int], OracleReport]:
+    """Reports of the cells L(d; m^r), keyed by (m, r), for each m of
+    ``mults``, largest first, and each r of ``cells``, every r <= r_max by
+    default: the walk of verify_grid and verify_homogeneous.
 
-    A point's rows are its derivative orders in graded order, and no entry
-    depends on the multiplicity, so L(d; mult^k) is the first
-    _point_rows(mult, d) rows of each of the first k point blocks."""
-    blocks: dict[int, np.ndarray] = {}
-    largest = LinearSystem(degree, (m_max,) * r_max)
-    height, n_cols = _point_rows(m_max, degree), math.comb(degree + 3, 3)
+    Each seed's r_max points are sampled and assembled once, at the largest
+    m, when a cell first needs them. A point's rows are its derivative orders
+    in graded order and no entry depends on the multiplicity, so L(d; m^r) is
+    the first _point_rows(m, d) rows of each of the first r point blocks.
+    Sampling is prefix-stable, so one elimination of the transposed cut gives
+    every r of one m: a pivot column of A^T is a row of A independent of the
+    rows before it.
 
-    def assemble(seed: int, k: int, mult: int) -> np.ndarray:
-        if seed not in blocks:
-            points = _sample_points(r_max, seed, config.prime, config.point_mode)
-            entries = conditions_matrix(largest, points, config.prime).entries
-            blocks[seed] = entries.reshape(r_max, height, n_cols)
-        return blocks[seed][:k, : _point_rows(mult, degree)].reshape(-1, n_cols)
+    A cell closes once its best rank reaches min(rows, cols), which no other
+    seed can exceed, or once its dimension reaches ``dimension_lower_bound``:
+    a sampled dimension never falls below the generic one, so no other seed
+    can lower it further (one below the bound is a fault, and raises). Later
+    seeds run only up to the largest open cell, and stop when none is left.
+    """
+    prime, n_cols = config.prime, math.comb(degree + 3, 3)
+    height = _point_rows(mults[0], degree)
+    cells = sorted(range(1, r_max + 1) if cells is None else cells)
+    blocks: dict[int, np.ndarray] = {}  # seed -> its r_max point blocks of height rows
+    ranks: dict[tuple[int, int], list[int]] = {}
+    bounds: dict[tuple[int, int], int] = {}  # computed once, for a cell open after a seed
 
-    return assemble
+    def still_open(m: int, r: int, seed: int) -> bool:
+        best = max(ranks[m, r])
+        if best == min(r * _point_rows(m, degree), n_cols):
+            return False
+        if (m, r) not in bounds:
+            bounds[m, r] = dimension_lower_bound(LinearSystem(degree, (m,) * r))
+        dimension = n_cols - best - 1
+        if dimension < bounds[m, r]:
+            raise RuntimeError(
+                f"oracle dimension {dimension} of degree {degree}, mults {(m,) * r} "
+                f"lies below the proved lower bound {bounds[m, r]}: one of the two routes is at fault"
+            )
+        if dimension == bounds[m, r]:
+            return False
+        # Independent points certify: PGL(4, F_p) moves r <= 4 independent
+        # points to the first r vertices, and the rank stays, since for p > d
+        # a point's rows cut out (I_x^m)_d. There every row is a unit row with
+        # entry a_1! a_2! a_3!, nonzero mod p, so the rank is the rank over Q,
+        # which is generic: the set of generic configurations is open, dense
+        # and invariant, so it meets and contains the one open orbit of r <= 4
+        # independent points. Not at five: the frame is one orbit over F_p,
+        # but its rank mod p can fall below the rank over Q. Sampling is
+        # prefix-stable, so these are the points the cell was assembled at.
+        return r > 4 or not _independent(_sample_points(4, seed, prime, config.point_mode)[:r], prime)
+
+    reports = {}
+    rows_independent = False
+    for m in mults:
+        rows = _point_rows(m, degree)
+        # A point of multiplicity m > d imposes all C(d+3, 3) conditions, as
+        # Taylor expansion at a point is invertible for p > d. At one seed the
+        # rows of L(d; m^r) are among those of L(d; m'^r') for m <= m' and
+        # r <= r', by the cut, so once a larger m's largest cell has
+        # independent rows at the first seed, every cell of a smaller m has
+        # too. Either way each cell takes min(rows, cols) as its first seed's
+        # rank, with nothing assembled or eliminated.
+        settled = m > degree or rows_independent
+        for r in cells:
+            ranks[m, r] = [min(r * rows, n_cols)] if settled else []
+        open_cells = [] if settled else cells
+        for seed in config.seeds:
+            if not open_cells:
+                break
+            if seed not in blocks:
+                points = _sample_points(r_max, seed, prime, config.point_mode)
+                largest = LinearSystem(degree, (mults[0],) * r_max)
+                entries = conditions_matrix(largest, points, prime).entries
+                blocks[seed] = entries.reshape(r_max, height, n_cols)
+            cut = blocks[seed][: open_cells[-1], :rows].reshape(-1, n_cols)
+            if len(open_cells) == 1:
+                # one cell needs only the rank of the whole cut, and a wide
+                # matrix eliminates faster untransposed: L(22; 10^9) took
+                # 329 ms so, and 409 ms transposed
+                got = [rank_mod_p(cut, prime)]
+            else:
+                pivots = _rank_profile(cut.T, prime)
+                got = [bisect.bisect_left(pivots, r * rows) for r in open_cells]
+            for r, rank in zip(open_cells, got):
+                ranks[m, r].append(rank)
+            open_cells = [r for r in open_cells if still_open(m, r, seed)]
+        for r in cells:
+            reports[m, r] = _report(LinearSystem(degree, (m,) * r), config, ranks[m, r], r * rows, n_cols)
+        rows_independent = ranks[m, cells[-1]][0] == cells[-1] * rows
+    return reports
 
 
 def verify_grid(
@@ -820,35 +808,18 @@ def verify_grid(
     homogeneous system in the box d <= d_max, 1 <= m <= m_max, 1 <= r <= r_max."""
     if m_max < 1 or r_max < 1:
         raise ValueError("a verify box needs m_max >= 1 and r_max >= 1")
-    # the largest matrix of the grid, checked before any work
+    # the box's cell count and its largest matrix, checked before any work
     check_point_count(r_max)
+    n_cells = (d_max + 1) * m_max * r_max
+    if n_cells > MAX_POINTS:
+        raise ValueError(f"a verify box of {n_cells} cells exceeds the limit of {MAX_POINTS}")
     _checked_shape(LinearSystem(d_max, (m_max,) * r_max))
     rows = []
     for d in range(d_max + 1):
-        # each seed's points are sampled and assembled once per degree, and
-        # only this degree's blocks are held
-        blocks = _degree_blocks(d, m_max, r_max, config)
-        chains = {}
-        rows_independent = False
-        for m in range(m_max, 0, -1):
-            # One elimination per seed gives every r <= r_max, and two
-            # certificates prove a whole chain of full rank with none. A point
-            # of multiplicity m > d imposes all C(d+3, 3) conditions, as
-            # Taylor expansion at a point is invertible for p > d. At one seed
-            # the rows of L(d; m^r) are among those of L(d; m'^r') for m <= m'
-            # and r <= r' (see _degree_blocks), so once a larger m's r_max
-            # cell has independent rows at the first seed, every cell of a
-            # smaller m has too.
-            chains[m] = _cell_reports(
-                LinearSystem(d, (m,) * r_max), config, range(1, r_max + 1),
-                assemble=functools.partial(blocks, mult=m), full_rank=m > d or rows_independent,
-            )
-            top = chains[m][r_max]
-            rows_independent = top.ranks[0] == top.n_rows
-        for m in range(1, m_max + 1):
-            for r, report in chains[m].items():
-                conjectured = conjectured_dimension(report.system)[0]
-                rows.append(GridRow(d, m, r, conjectured, report.dimension))
+        # one walk per degree, so only this degree's assemblies are held
+        reports = _cell_reports(d, range(m_max, 0, -1), r_max, config)
+        for (m, r), report in sorted(reports.items()):
+            rows.append(GridRow(d, m, r, conjectured_dimension(report.system)[0], report.dimension))
     return GridReport(d_max, m_max, r_max, config.prime, config.seeds, tuple(rows))
 
 
@@ -878,14 +849,16 @@ def verify_homogeneous(
     A seed after one that certifies the cell's rank does not run."""
     if m_max < 1:
         raise ValueError("a verify window needs m_max >= 1")
+    # the window's largest matrix, checked before any work
     check_point_count(r)
+    _checked_shape(LinearSystem(2 * m_max + 2, (m_max,) * r))
     rows = []
     for m in range(1, m_max + 1):
         for d in range(2 * m, 2 * m + 3):
             system = LinearSystem(d, (m,) * r)  # already normalized, as m >= 1
             verdict = classify_homogeneous(d, m, r)
             conjectured, trace = conjectured_dimension(system)
-            h1 = _cell_reports(system, config, (r,))[r].h1
+            h1 = _cell_reports(d, (m,), r, config, cells=(r,))[m, r].h1
             consistent = {
                 VERDICT_SPECIAL: h1 > 0,
                 VERDICT_NON_SPECIAL: h1 == 0,

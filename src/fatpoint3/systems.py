@@ -21,13 +21,14 @@ __all__ = [
     "check_point_count",
 ]
 
-# The most points a literal, a Cremona index or a verify box may name. It is
-# checked before a run m^k is expanded, a system padded up to an index or a
-# verify box built, so a short command line such as "12 1^1000000000" (a list
-# of 8 GB) is refused at once, while a list at the cap takes under 1 MB. It
-# stands 100 times above the r of about 1,000 in long-r sweeps. Each step of
-# the procedure is a few linear passes over the points, and the steps are
-# bounded by the trace budget in cremona.py; at the cap, conjectured_dimension
+# The most points a literal or a Cremona index may name, and the most cells,
+# (d_max + 1) m_max r_max, a verify box may hold. It is checked before a run
+# m^k is expanded, a system padded up to an index or a box's first cell run,
+# so a short command line such as "12 1^1000000000" (a list of 8 GB) is
+# refused at once, while a list at the cap takes under 1 MB. It stands 100
+# times above the r of about 1,000 in long-r sweeps. Each step of the
+# procedure is a few linear passes over the points, and the steps are bounded
+# by the trace budget in cremona.py; at the cap, conjectured_dimension
 # takes 12 ms for L(16; 1^100000) and 31 ms for L(12; 6^9, 1^90000), five
 # quadric removals (CPU time, median of 7 calls, 2-core Xeon VM).
 MAX_POINTS = 100_000
@@ -47,17 +48,18 @@ def point_conditions(mult: int) -> int:
     return math.comb(mult + 2, 3) if mult > 0 else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinearSystem:
     """Surfaces of degree ``degree`` through points with multiplicities ``mults``."""
 
     degree: int
-    mults: tuple[int, ...] = ()
+    mults: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        # operator.index, not int: a float or a string is refused, not truncated
-        object.__setattr__(self, "degree", operator.index(self.degree))
-        object.__setattr__(self, "mults", tuple(map(operator.index, self.mults)))
+    def __init__(self, degree: int, mults=()) -> None:
+        # each field is set once, coerced; operator.index, not int: a float or
+        # a string is refused, not truncated
+        object.__setattr__(self, "degree", operator.index(degree))
+        object.__setattr__(self, "mults", tuple(map(operator.index, mults)))
 
     @property
     def npoints(self) -> int:

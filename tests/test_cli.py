@@ -265,6 +265,9 @@ def test_help_shows_every_oracle_default(capsys, command):
         (["oracle", "3 1^4", "--seeds", "1,1"], "seeds must be distinct"),
         (["verify", "--rmax", "-3"], "needs m_max >= 1 and r_max >= 1"),
         (["verify", "--homogeneous", "--r", "9", "--mmax", "0"], "needs m_max >= 1"),
+        (["verify", "--dmax", "1", "--mmax", "200000", "--rmax", "1"],
+         "a verify box of 400000 cells exceeds the limit of 100000"),
+        (["verify", "--homogeneous", "--r", "9", "--mmax", "1000000000"], "exceeds the dense limit"),
     ],
 )
 def test_refused_input_exits_1_with_nothing_on_stdout(capsys, argv, message):

@@ -63,20 +63,20 @@ def test_equivariance_check_refuses_an_image_outside_the_oracle():
 
 def test_conditions_matrix_shapes():
     m = conditions_matrix(LinearSystem(1, (1,)), [(3, 5, 7)])
-    assert (m.n_rows, m.n_cols) == (1, 4)
+    assert m.entries.shape == (1, 4)
     assert np.count_nonzero(m.entries) >= 1
 
     system = parse_system("7 4^6")
     pts = [(i + 1, 2 * i + 3, 7 * i + 1) for i in range(6)]
     m = conditions_matrix(system, pts)
-    assert (m.n_rows, m.n_cols) == (120, 120)
+    assert m.entries.shape == (120, 120)
 
 
 def test_conditions_matrix_nine_simple_points_rank():
     rng = random.Random(4)
     pts = [(rng.randrange(97), rng.randrange(97), rng.randrange(97)) for _ in range(9)]
     m = conditions_matrix(parse_system("2 1^9"), pts)
-    assert m.rank() == 9  # corank 1: the single quadric through nine points
+    assert rank_mod_p(m.entries, m.prime) == 9  # corank 1: the single quadric through nine points
 
 
 def test_conditions_matrix_rejects_coincident_points():
@@ -124,8 +124,8 @@ def test_fundamental_points_live_outside_the_affine_chart():
     system = LinearSystem(2, (1, 1, 1, 1))
     vertices = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     m = conditions_matrix(system, vertices)
-    assert m.n_rows == 4
-    assert m.rank() == 4
+    assert m.entries.shape == (4, 10)
+    assert rank_mod_p(m.entries, m.prime) == 4
 
 
 @pytest.mark.parametrize(
@@ -313,20 +313,20 @@ def test_certified_first_seed_stops_the_seed_loop(monkeypatch):
     # and its dimension 0 meets the proved lower bound (the quadric through
     # the nine points), so seed 1 closes every cell: one elimination
     calls.clear()
-    reports = oracle_module._cell_reports(LinearSystem(4, (2,) * 10), three, range(1, 11))
+    reports = oracle_module._cell_reports(4, (2,), 10, three)
     assert calls == [(35, 40)]
-    ranks = {r: list(rep.ranks) for r, rep in reports.items()}
+    ranks = {r: list(rep.ranks) for (_, r), rep in reports.items()}
     assert ranks == {**{r: [4 * r] for r in range(1, 9)}, 9: [34], 10: [35]}
-    assert not reports[9].certified  # certified still means full rank
+    assert not reports[2, 9].certified  # certified still means full rank
     # L(2; 2^2), the quadric cones with the line through both points as
     # vertex, is line-special: its bound 1 stays below its dimension 2, but
     # its two points are independent, so seed 1's rank is the generic one,
     # while L(2; 2^3) meets its bound (a Cremona step): every cell closes
     # after seed 1
     calls.clear()
-    reports = oracle_module._cell_reports(LinearSystem(2, (2,) * 4), three, range(1, 5))
+    reports = oracle_module._cell_reports(2, (2,), 4, three)
     assert calls == [(10, 16)]
-    ranks = {r: list(rep.ranks) for r, rep in reports.items()}
+    ranks = {r: list(rep.ranks) for (_, r), rep in reports.items()}
     assert ranks == {1: [4], 2: [7], 3: [9], 4: [10]}
     # a lone system runs every seed, certified or not, and reports each rank
     calls.clear()
@@ -376,7 +376,7 @@ def test_multiplicity_clamped_at_degree_plus_one():
     reference = conditions_matrix(parse_system("3 4^2"), pts)
     assert clamped.entries.shape == reference.entries.shape == (40, 20)
     assert (clamped.entries == reference.entries).all()
-    assert clamped.rank() == reference.rank() == 20
+    assert rank_mod_p(clamped.entries, clamped.prime) == rank_mod_p(reference.entries, reference.prime) == 20
     # the dropped rows, derivatives of order 4 and 5 of a cubic, are all zero
     p = oracle_module.DEFAULT_PRIME
     full = [[_derivative_at(a[1:], alpha, (1, 2, 3), p) for a in monomial_basis(3)]
@@ -591,8 +591,8 @@ def test_prefix_reports_equal_lone_reports(mode):
     cells = 0
     for d in range(7):
         for m in range(1, 4):
-            reports = oracle_module._cell_reports(LinearSystem(d, (m,) * 9), config, range(1, 10))
-            for r, rep in reports.items():
+            reports = oracle_module._cell_reports(d, (m,), 9, config)
+            for (_, r), rep in reports.items():
                 assert rep.system == LinearSystem(d, (m,) * r)
                 assert len(rep.seeds) == len(rep.ranks) and rep.seeds == config.seeds[: len(rep.seeds)]
                 assert rep == oracle_report(rep.system, dataclasses.replace(config, seeds=rep.seeds))
@@ -612,19 +612,19 @@ def test_the_oracle_answers_without_the_procedure(monkeypatch):
     monkeypatch.setattr(speciality_module, "speciality_correction", refuse)  # the line term
     report = oracle_report(parse_system("4 2^9"), FAST)
     assert (report.dimension, report.h1, report.certified) == (0, 1, False)
-    reports = oracle_module._cell_reports(LinearSystem(4, (2,) * 10), FAST, (8, 9, 10))
+    reports = oracle_module._cell_reports(4, (2,), 10, FAST, cells=(8, 9, 10))
     assert [(rep.dimension, rep.h1, rep.certified) for rep in reports.values()] == [
         (2, 0, True),
         (0, 1, False),
         (-1, 0, True),
     ]
     # the proved lower bound closed the special cell after one seed
-    assert reports[9].seeds == (1,)
+    assert reports[2, 9].seeds == (1,)
     assert dimension_lower_bound(parse_system("4 2^9")) == 0
     assert dimension_lower_bound(parse_system("4 3^4")) == 0
 
 
-def test_the_grid_does_each_piece_of_oracle_work_once(monkeypatch):
+def _count_oracle_work(monkeypatch) -> dict:
     counts = {"eliminations": 0, "assemblies": 0, "bounds": 0}
 
     def spy(name, key):
@@ -639,6 +639,11 @@ def test_the_grid_does_each_piece_of_oracle_work_once(monkeypatch):
     spy("_rank_profile", "eliminations")
     spy("conditions_matrix", "assemblies")
     spy("dimension_lower_bound", "bounds")
+    return counts
+
+
+def test_the_grid_does_each_piece_of_oracle_work_once(monkeypatch):
+    counts = _count_oracle_work(monkeypatch)
     assert verify_grid(10, 4, 10).mismatches == ()
     # one elimination at seed 1 per (d, m) that no certificate settles, and
     # no later seed: the six line-special cells the bound cannot close have
@@ -647,6 +652,37 @@ def test_the_grid_does_each_piece_of_oracle_work_once(monkeypatch):
     # 12 more; one assembly per degree with an eliminated chain; a bound for
     # each cell open after seed 1
     assert counts == {"eliminations": 22, "assemblies": 10, "bounds": 18}
+
+
+def test_the_window_does_each_piece_of_oracle_work_once(monkeypatch):
+    counts = _count_oracle_work(monkeypatch)
+    assert all(row.consistent for row in verify_homogeneous(9, 5, FAST))
+    # one assembly and one elimination per cell, at seed 1 only: each of the
+    # 15 cells is full rank or meets its bound after it, and a bound is
+    # computed only for the 4 cells that are not full rank
+    assert counts == {"eliminations": 15, "assemblies": 15, "bounds": 4}
+
+
+def test_verify_refuses_a_box_past_the_point_cap_before_any_work(monkeypatch):
+    counts = _count_oracle_work(monkeypatch)
+    for box, n_cells in (((1, 200_000, 1), 400_000), ((0, 1000, 100_000), 10**8), ((0, 100_001, 1), 100_001)):
+        with pytest.raises(ValueError, match=f"a verify box of {n_cells} cells exceeds the limit of 100000"):
+            verify_grid(*box, FAST)
+    # the window's largest cell, L(2 m_max + 2; m_max^r), is checked first;
+    # at r = 9 the entry cap admits m_max = 11, not 12
+    for m_max in (12, 10**9):
+        with pytest.raises(ValueError, match="exceeds the dense limit"):
+            verify_homogeneous(9, m_max, FAST)
+    oracle_module._checked_shape(LinearSystem(24, (11,) * 9))
+    assert counts == {"eliminations": 0, "assemblies": 0, "bounds": 0}
+
+    # the cap's edge: a box of exactly MAX_POINTS cells reaches the walk
+    def walk(*args, **kwargs):
+        raise LookupError("walked")
+
+    monkeypatch.setattr(oracle_module, "_cell_reports", walk)
+    with pytest.raises(LookupError, match="walked"):
+        verify_grid(0, 100_000, 1, FAST)
 
 
 @pytest.mark.parametrize("mode", [ALL_RANDOM, FUNDAMENTAL])
@@ -680,36 +716,57 @@ def test_independent_points_certify_four_points_not_five(monkeypatch):
 
     monkeypatch.setattr(oracle_module, "_sample_points", planted)
     with pytest.warns(SeedDisagreement, match=r"ranks \[19, 20\]"):
-        reports = oracle_module._cell_reports(LinearSystem(4, (2,) * 5), FAST, range(1, 6))
-    assert reports[5].ranks == (19, 20) and reports[5].dimension == 14
-    assert all(reports[r].ranks == (4 * r,) for r in range(1, 5))
+        reports = oracle_module._cell_reports(4, (2,), 5, FAST)
+    assert reports[2, 5].ranks == (19, 20) and reports[2, 5].dimension == 14
+    assert all(reports[2, r].ranks == (4 * r,) for r in range(1, 5))
 
 
 @pytest.mark.parametrize("mode", [ALL_RANDOM, FUNDAMENTAL])
 @pytest.mark.parametrize("prime", [oracle_module.DEFAULT_PRIME, 11])
 def test_grid_blocks_are_the_conditions_matrix_rows(mode, prime, monkeypatch):
-    # from one L(d; 4^6) assembly a seed, every L(d; m^r), m <= 4, r <= 6, is
-    # bit-identical to its own assembly; at d <= 2 the multiplicities are
-    # clamped at d + 1
-    config = OracleConfig(prime=prime, seeds=(1, 2), point_mode=mode)
-    assembled = []
+    # the walk assembles L(d; 4^6) once a seed and cuts every L(d; m^r),
+    # m <= 4, r <= 6, from it; each cut it eliminates, transposed for a
+    # profile of its rows or as it is for one open cell, is bit-identical to
+    # its own assembly at the seed's first r points. At d <= 2 the assembled
+    # multiplicities are clamped at d + 1
+    profile = oracle_module._rank_profile
+    cuts, assembled = [], []
 
-    def spy(*args):
+    def spy_profile(matrix, p):
+        cuts.append(("profile", matrix.T))
+        return profile(matrix, p)
+
+    def spy_rank(matrix, p):
+        cuts.append(("rank", matrix))
+        return len(profile(matrix, p))
+
+    def spy_assembly(*args):
         assembled.append(args[0])
         return conditions_matrix(*args)
 
-    for d in range(7):
-        blocks = oracle_module._degree_blocks(d, 4, 6, config)
-        monkeypatch.setattr(oracle_module, "conditions_matrix", spy)
-        cells = itertools.product(config.seeds, range(1, 5), range(1, 7))
-        cut = {(seed, m, r): blocks(seed, r, m) for seed, m, r in cells}
-        monkeypatch.undo()
-        assert assembled == [LinearSystem(d, (4,) * 6)] * 2  # one per seed
-        assembled.clear()
-        for (seed, m, r), entries in cut.items():
-            points = oracle_module._sample_points(r, seed, prime, mode)
-            own = conditions_matrix(LinearSystem(d, (m,) * r), points, prime).entries
-            assert entries.shape == own.shape and (entries == own).all()
+    monkeypatch.setattr(oracle_module, "_rank_profile", spy_profile)
+    monkeypatch.setattr(oracle_module, "rank_mod_p", spy_rank)
+    monkeypatch.setattr(oracle_module, "conditions_matrix", spy_assembly)
+    kinds = set()
+    for seed in (1, 2):
+        config = OracleConfig(prime=prime, seeds=(seed,), point_mode=mode)
+        for d in range(7):
+            # every r at once, and one r at a time, which takes the one-cell path
+            for cells in (None, *((r,) for r in range(1, 7))):
+                cuts.clear()
+                assembled.clear()
+                oracle_module._cell_reports(d, range(4, 0, -1), 6, config, cells)
+                assert assembled == ([LinearSystem(d, (4,) * 6)] if cuts else [])
+                for kind, cut in cuts:
+                    own = [
+                        conditions_matrix(LinearSystem(d, (m,) * r),
+                                          oracle_module._sample_points(r, seed, prime, mode), prime).entries
+                        for m, r in itertools.product(range(1, 5), range(1, 7))
+                        if r * oracle_module._point_rows(m, d) == cut.shape[0]
+                    ]
+                    assert any(a.shape == cut.shape and (a == cut).all() for a in own), (seed, d, cells)
+                    kinds.add(kind)
+    assert kinds == {"profile", "rank"}
 
 
 def test_an_oracle_dimension_below_the_bound_raises(monkeypatch):
