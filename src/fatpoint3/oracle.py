@@ -708,16 +708,17 @@ class GridReport:
 
 
 def _cell_reports(
-    degree: int, mults, r_max: int, config: OracleConfig, cells=None
+    degree: int, mults, cells, config: OracleConfig
 ) -> dict[tuple[int, int], OracleReport]:
     """Reports of the cells L(d; m^r), keyed by (m, r), for each m of
-    ``mults``, largest first, and each r of ``cells``, every r <= r_max by
-    default: the walk of verify_grid and verify_homogeneous.
+    ``mults``, largest first, and each r of ``cells``: the walk of
+    verify_grid and verify_homogeneous.
 
-    Each seed's r_max points are sampled and assembled once, at the largest
-    m, when a cell first needs them. A point's rows are its derivative orders
-    in graded order and no entry depends on the multiplicity, so L(d; m^r) is
-    the first _point_rows(m, d) rows of each of the first r point blocks.
+    Each seed's points, as many as the largest r, are sampled and assembled
+    once, at the largest m, when a cell first needs them. A point's rows are
+    its derivative orders in graded order and no entry depends on the
+    multiplicity, so L(d; m^r) is the first _point_rows(m, d) rows of each of
+    the first r point blocks.
     Sampling is prefix-stable, so one elimination of the transposed cut gives
     every r of one m: a pivot column of A^T is a row of A independent of the
     rows before it.
@@ -730,7 +731,8 @@ def _cell_reports(
     """
     prime, n_cols = config.prime, math.comb(degree + 3, 3)
     height = _point_rows(mults[0], degree)
-    cells = sorted(range(1, r_max + 1) if cells is None else cells)
+    cells = sorted(cells)
+    r_max = cells[-1]
     blocks: dict[int, np.ndarray] = {}  # seed -> its r_max point blocks of height rows
     ranks: dict[tuple[int, int], list[int]] = {}
     bounds: dict[tuple[int, int], int] = {}  # computed once, for a cell open after a seed
@@ -785,9 +787,11 @@ def _cell_reports(
                 blocks[seed] = entries.reshape(r_max, height, n_cols)
             cut = blocks[seed][: open_cells[-1], :rows].reshape(-1, n_cols)
             if len(open_cells) == 1:
-                # one cell needs only the rank of the whole cut, and a wide
-                # matrix eliminates faster untransposed: L(22; 10^9) took
-                # 329 ms so, and 409 ms transposed
+                # one open cell needs only the rank of the whole cut, not a
+                # profile of its rows, so the cut is eliminated as assembled:
+                # criterion 5's window, whose cuts are mostly wider than
+                # tall, took a median 3.27 s CPU so and 3.65 s transposed
+                # on a 2-core VM
                 got = [rank_mod_p(cut, prime)]
             else:
                 pivots = _rank_profile(cut.T, prime)
@@ -817,7 +821,7 @@ def verify_grid(
     rows = []
     for d in range(d_max + 1):
         # one walk per degree, so only this degree's assemblies are held
-        reports = _cell_reports(d, range(m_max, 0, -1), r_max, config)
+        reports = _cell_reports(d, range(m_max, 0, -1), range(1, r_max + 1), config)
         for (m, r), report in sorted(reports.items()):
             rows.append(GridRow(d, m, r, conjectured_dimension(report.system)[0], report.dimension))
     return GridReport(d_max, m_max, r_max, config.prime, config.seeds, tuple(rows))
@@ -858,7 +862,7 @@ def verify_homogeneous(
             system = LinearSystem(d, (m,) * r)  # already normalized, as m >= 1
             verdict = classify_homogeneous(d, m, r)
             conjectured, trace = conjectured_dimension(system)
-            h1 = _cell_reports(d, (m,), r, config, cells=(r,))[m, r].h1
+            h1 = _cell_reports(d, (m,), (r,), config)[m, r].h1
             consistent = {
                 VERDICT_SPECIAL: h1 > 0,
                 VERDICT_NON_SPECIAL: h1 == 0,

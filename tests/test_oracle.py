@@ -313,7 +313,7 @@ def test_certified_first_seed_stops_the_seed_loop(monkeypatch):
     # and its dimension 0 meets the proved lower bound (the quadric through
     # the nine points), so seed 1 closes every cell: one elimination
     calls.clear()
-    reports = oracle_module._cell_reports(4, (2,), 10, three)
+    reports = oracle_module._cell_reports(4, (2,), range(1, 11), three)
     assert calls == [(35, 40)]
     ranks = {r: list(rep.ranks) for (_, r), rep in reports.items()}
     assert ranks == {**{r: [4 * r] for r in range(1, 9)}, 9: [34], 10: [35]}
@@ -324,7 +324,7 @@ def test_certified_first_seed_stops_the_seed_loop(monkeypatch):
     # while L(2; 2^3) meets its bound (a Cremona step): every cell closes
     # after seed 1
     calls.clear()
-    reports = oracle_module._cell_reports(2, (2,), 4, three)
+    reports = oracle_module._cell_reports(2, (2,), range(1, 5), three)
     assert calls == [(10, 16)]
     ranks = {r: list(rep.ranks) for (_, r), rep in reports.items()}
     assert ranks == {1: [4], 2: [7], 3: [9], 4: [10]}
@@ -591,7 +591,7 @@ def test_prefix_reports_equal_lone_reports(mode):
     cells = 0
     for d in range(7):
         for m in range(1, 4):
-            reports = oracle_module._cell_reports(d, (m,), 9, config)
+            reports = oracle_module._cell_reports(d, (m,), range(1, 10), config)
             for (_, r), rep in reports.items():
                 assert rep.system == LinearSystem(d, (m,) * r)
                 assert len(rep.seeds) == len(rep.ranks) and rep.seeds == config.seeds[: len(rep.seeds)]
@@ -612,7 +612,7 @@ def test_the_oracle_answers_without_the_procedure(monkeypatch):
     monkeypatch.setattr(speciality_module, "speciality_correction", refuse)  # the line term
     report = oracle_report(parse_system("4 2^9"), FAST)
     assert (report.dimension, report.h1, report.certified) == (0, 1, False)
-    reports = oracle_module._cell_reports(4, (2,), 10, FAST, cells=(8, 9, 10))
+    reports = oracle_module._cell_reports(4, (2,), (8, 9, 10), FAST)
     assert [(rep.dimension, rep.h1, rep.certified) for rep in reports.values()] == [
         (2, 0, True),
         (0, 1, False),
@@ -716,7 +716,7 @@ def test_independent_points_certify_four_points_not_five(monkeypatch):
 
     monkeypatch.setattr(oracle_module, "_sample_points", planted)
     with pytest.warns(SeedDisagreement, match=r"ranks \[19, 20\]"):
-        reports = oracle_module._cell_reports(4, (2,), 5, FAST)
+        reports = oracle_module._cell_reports(4, (2,), range(1, 6), FAST)
     assert reports[2, 5].ranks == (19, 20) and reports[2, 5].dimension == 14
     assert all(reports[2, r].ranks == (4 * r,) for r in range(1, 5))
 
@@ -724,10 +724,12 @@ def test_independent_points_certify_four_points_not_five(monkeypatch):
 @pytest.mark.parametrize("mode", [ALL_RANDOM, FUNDAMENTAL])
 @pytest.mark.parametrize("prime", [oracle_module.DEFAULT_PRIME, 11])
 def test_grid_blocks_are_the_conditions_matrix_rows(mode, prime, monkeypatch):
-    # the walk assembles L(d; 4^6) once a seed and cuts every L(d; m^r),
-    # m <= 4, r <= 6, from it; each cut it eliminates, transposed for a
+    # the walk assembles L(d; 4^r_max) once a seed and cuts every L(d; m^r),
+    # m <= 4, r <= r_max, from it; each cut it eliminates, transposed for a
     # profile of its rows or as it is for one open cell, is bit-identical to
-    # its own assembly at the seed's first r points. At d <= 2 the assembled
+    # the assembly of its own cell at the seed's first r points. With one
+    # seed every cut spans the largest r, and its row count gives its m, as
+    # a point's row count grows with m. At d <= 2 the assembled
     # multiplicities are clamped at d + 1
     profile = oracle_module._rank_profile
     cuts, assembled = [], []
@@ -752,20 +754,24 @@ def test_grid_blocks_are_the_conditions_matrix_rows(mode, prime, monkeypatch):
         config = OracleConfig(prime=prime, seeds=(seed,), point_mode=mode)
         for d in range(7):
             # every r at once, and one r at a time, which takes the one-cell path
-            for cells in (None, *((r,) for r in range(1, 7))):
+            for cells in (range(1, 7), *((r,) for r in range(1, 7))):
                 cuts.clear()
                 assembled.clear()
-                oracle_module._cell_reports(d, range(4, 0, -1), 6, config, cells)
-                assert assembled == ([LinearSystem(d, (4,) * 6)] if cuts else [])
+                oracle_module._cell_reports(d, range(4, 0, -1), cells, config)
+                r = max(cells)
+                assert assembled == ([LinearSystem(d, (4,) * r)] if cuts else [])
+                points = oracle_module._sample_points(r, seed, prime, mode)
+                walked = []
                 for kind, cut in cuts:
-                    own = [
-                        conditions_matrix(LinearSystem(d, (m,) * r),
-                                          oracle_module._sample_points(r, seed, prime, mode), prime).entries
-                        for m, r in itertools.product(range(1, 5), range(1, 7))
-                        if r * oracle_module._point_rows(m, d) == cut.shape[0]
-                    ]
-                    assert any(a.shape == cut.shape and (a == cut).all() for a in own), (seed, d, cells)
+                    rows, rest = divmod(cut.shape[0], r)
+                    # the walk cuts no m > d, which the certificate settles
+                    [m] = [m for m in range(1, min(d, 4) + 1) if oracle_module._point_rows(m, d) == rows]
+                    assert rest == 0
+                    own = conditions_matrix(LinearSystem(d, (m,) * r), points, prime).entries
+                    assert own.shape == cut.shape and (own == cut).all(), (seed, d, cells, m)
+                    walked.append(m)
                     kinds.add(kind)
+                assert walked == sorted(set(walked), reverse=True)  # each m once, largest first
     assert kinds == {"profile", "rank"}
 
 
